@@ -9,8 +9,6 @@ benchmark tables for CSV export.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .autocov import (
@@ -20,7 +18,7 @@ from .autocov import (
     hard_threshold,
     sample_autocov,
 )
-from .estimation import fit_banded_var
+from .estimation import _parallel_map, fit_banded_var
 from .forecast import predict
 from .linalg import l1_norm, spectral_norm
 from .model import BandedVarModel, theoretical_autocov_var1
@@ -50,13 +48,6 @@ __all__ = [
     "table7_rows",
     "BENCH_TABLES",
 ]
-
-
-def _map_reps(job, reps: int, threads: int):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(job, range(reps)))
-    return [job(r) for r in range(reps)]
 
 
 def _draw_coeff(setting: str, p: int, k0: int, rng, target_norm=None):
@@ -109,7 +100,7 @@ def selection_frequency_cell(
         k_joint = joint_bic_from_surface(surface)[0] if with_joint else None
         return k_marginal, k_joint
 
-    picks = _map_reps(job, reps, threads)
+    picks = _parallel_map(job, range(reps), threads)
     out = {"marginal": _freq([k for k, _ in picks], k0)}
     if with_joint:
         out["joint"] = _freq([kj for _, kj in picks], k0)
@@ -143,7 +134,7 @@ def estimation_error_cell(
             k_hat,
         )
 
-    rows = np.array(_map_reps(job, reps, threads))
+    rows = np.array(_parallel_map(job, range(reps), threads))
     names = ("estimated_l1", "estimated_l2", "true_l1", "true_l2")
     out = {
         name: {"mean": float(rows[:, c].mean()), "sd": float(rows[:, c].std(ddof=1)) if reps > 1 else 0.0}
@@ -179,7 +170,7 @@ def frobenius_trend_cell(
             errs.append(float(np.sqrt(((fit - truth) ** 2).sum())))
         return errs
 
-    rows = np.array(_map_reps(job, reps, threads))
+    rows = np.array(_parallel_map(job, range(reps), threads))
     return {int(n): float(rows[:, c].mean()) for c, n in enumerate(ns)}
 
 
@@ -225,7 +216,7 @@ def autocov_error_cell(
             }
         return out
 
-    results = _map_reps(job, reps, threads)
+    results = _parallel_map(job, range(reps), threads)
     cell = {}
     for j in lags:
         cell[j] = {}
@@ -290,7 +281,7 @@ def ordering_prediction_cell(
             out[name] = (trace.total_bic(), trace.k_hat, err1, err2)
         return out
 
-    results = _map_reps(job, reps, threads)
+    results = _parallel_map(job, range(reps), threads)
     cell = {}
     for name in ("true", "local", "random1", "random2"):
         arr = np.array([res[name] for res in results])

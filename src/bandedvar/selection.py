@@ -13,24 +13,25 @@ equations with a single global parameter count, and a two-dimensional variant
 scans (bandwidth, order) jointly when the order is unknown.
 
 Residual sums of squares for all nested bandwidths of one equation come from
-a single QR factorisation: columns are ordered by distance from the diagonal,
-so every trial bandwidth is a column prefix and its RSS is a partial sum of
-squared orthogonalised response coefficients.
+a single QR factorisation (``estimation._row_qr``): columns are ordered by
+distance from the diagonal, so every trial bandwidth is a column prefix, and
+the response rides along as the last column. The RSS of the prefix of width w
+is the tail sum of squares of R's last column from entry w on. It only adds
+squares, so it stays accurate when the series have a large level, unlike
+``y.y`` minus the explained sum of squares. The fit at the chosen bandwidth
+back-solves the same kind of R factor.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr as _qr
 
-from .errors import BandedVarError, SingularDesignError
-from .estimation import build_row_design, fit_row, row_regressor_count
-from .linalg import RANK_TOL
+from .errors import BandedVarError
+from .estimation import _parallel_map, _row_qr, row_regressor_count
 from .model import TimeSeries, _check_permutation
 
 __all__ = [
@@ -75,52 +76,6 @@ class RssSurface:
     d: int
 
 
-def _row_rss_profile(values: np.ndarray, i: int, d: int, ks, p: int, n: int):
-    """RSS of equation i for every bandwidth in ``ks`` from one QR sweep."""
-    kmax = ks[-1]
-    width = row_regressor_count(i, kmax, d, p)
-    if n <= d + width:
-        raise ValueError(
-            f"series too short for row {i} at (k={kmax}, d={d}): "
-            f"need n > {d + width}, have n = {n}"
-        )
-    blocks = []
-    for ring in range(kmax + 1):
-        sides = (i,) if ring == 0 else tuple(
-            j for j in (i - ring, i + ring) if 0 <= j < p
-        )
-        for j in sides:
-            blocks.append(
-                np.stack(
-                    [values[j, d - lag : n - lag] for lag in range(1, d + 1)], axis=1
-                )
-            )
-    y = values[i, d:]
-    r_mat = _qr(
-        np.hstack(blocks + [y[:, None]]), mode="r", check_finite=False
-    )[0]
-    # The response rides along as a final column, so the first w entries of
-    # R's last column are the orthogonalised response coefficients for the
-    # prefix design of width w.
-    z = r_mat[:width, width]
-    piv = np.abs(np.diagonal(r_mat))[:width]
-    largest = piv.max() if piv.size else 0.0
-    if largest == 0.0 or np.any(piv < RANK_TOL * largest):
-        bad = 0 if largest == 0.0 else int(np.nonzero(piv < RANK_TOL * largest)[0][0])
-        raise SingularDesignError(
-            f"row {i}: rank-deficient design within bandwidth {kmax}",
-            column=bad,
-            row=i,
-        )
-    total = float(y @ y)
-    partial = np.cumsum(z * z)
-    out = np.empty(len(ks))
-    for idx, k in enumerate(ks):
-        w = row_regressor_count(i, k, d, p)
-        out[idx] = total - partial[w - 1]
-    return out
-
-
 def rss_surface(
     ts: TimeSeries,
     d: int = 1,
@@ -138,16 +93,13 @@ def rss_surface(
     counts = np.array(
         [[row_regressor_count(i, k, d, p) for k in ks] for i in range(p)]
     )
-    vals = ts.values
 
     def job(i):
-        return _row_rss_profile(vals, i, d, ks, p, n)
+        last = _row_qr(ts.values, i, K, d)[:, -1]
+        tail = np.cumsum(last[::-1] ** 2)[::-1]  # tail[w] = RSS of the width-w prefix
+        return tail[counts[i]]
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(job, range(p)))
-    else:
-        rows = [job(i) for i in range(p)]
+    rows = _parallel_map(job, range(p), threads)
     return RssSurface(
         ks=tuple(ks), rss=np.vstack(rows), counts=counts, n=n, p=p, d=d
     )
@@ -266,8 +218,8 @@ def marginal_bic(
     """Criterion value of a single equation at one trial bandwidth."""
     if cn is None:
         cn = default_penalty_const(ts.n)
-    design = build_row_design(ts, i, k, d)
-    _, rss = fit_row(design)
+    r = _row_qr(ts.values, i, k, d)
+    rss = float(r[-1, -1] ** 2)
     if rss <= 0.0:
         raise BandedVarError(
             f"row {i} has zero residual sum of squares; the criterion is "

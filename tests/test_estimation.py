@@ -213,6 +213,10 @@ class TestFitBandedVar:
         with pytest.raises(SingularDesignError) as err:
             fit_banded_var(TimeSeries(vals), 1, 1)
         assert err.value.rows == [0, 1]
+        # the first failing row is named down to the lag-major column
+        assert err.value.row == 0
+        assert "row 0" in str(err.value) and "series 1" in str(err.value)
+        assert band_columns(0, 1, 1, 3)[err.value.column] == (1, 1)
 
     def test_thread_count_does_not_change_result(self):
         _, ts = simulated(12, 2, 150, 11)

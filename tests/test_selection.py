@@ -8,6 +8,7 @@ import pytest
 from bandedvar import (
     BandedMatrix,
     BandedVarModel,
+    SingularDesignError,
     TimeSeries,
     build_row_design,
     fit_row,
@@ -20,6 +21,7 @@ from bandedvar import (
     select_bandwidth_and_order,
     simulate_var,
 )
+from bandedvar.estimation import band_columns
 from bandedvar.rng import substream
 from bandedvar.selection import (
     RssSurface,
@@ -165,6 +167,34 @@ class TestSelectBandwidth:
                 freqs[K] += trace.k_hat == 1
         rates = [100.0 * v / reps for v in freqs.values()]
         assert max(rates) - min(rates) < 10.0
+
+
+class TestRssSurface:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("shift", [0.0, 1e3, 1e6, 1e7])
+    def test_matches_direct_row_fits_on_shifted_panel(self, shift, d):
+        # a large series level must not cost accuracy: every surface entry
+        # equals the RSS of a direct fit of that row at that bandwidth
+        _, ts = simulated(30, 1, 200, 3)
+        shifted = TimeSeries(ts.values + shift)
+        surface = rss_surface(shifted, d=d, K=4, include_zero=True)
+        direct = np.array(
+            [
+                [fit_row(build_row_design(shifted, i, k, d))[1] for k in surface.ks]
+                for i in range(30)
+            ]
+        )
+        assert np.abs(surface.rss / direct - 1.0).max() < 1e-6
+
+    def test_identical_series_error_names_row_and_series(self):
+        # series 3 duplicates series 1, so row 0's design at K=3 is singular
+        # at lag 1 of series 3; the column indexes band_columns order
+        vals = substream(15, "wn").standard_normal((5, 80))
+        vals[3] = vals[1]
+        with pytest.raises(SingularDesignError, match=r"row 0\b.*series 3\b") as err:
+            select_bandwidth(TimeSeries(vals), d=2, K=3)
+        assert err.value.row == 0
+        assert band_columns(0, 3, 2, 5)[err.value.column] == (1, 3)
 
 
 class TestSelectBandwidthAndOrder:
