@@ -26,20 +26,8 @@ class SingularDesignError(BandedVarError):
 
 
 class ConvergenceError(BandedVarError):
-    """An iterative numerical routine failed to converge.
-
-    Attributes
-    ----------
-    last_estimate : float or None
-        Value of the quantity being computed at the final iteration.
-    gap : float or None
-        Remaining change between the last two iterates.
-    """
-
-    def __init__(self, message, last_estimate=None, gap=None):
-        super().__init__(message)
-        self.last_estimate = last_estimate
-        self.gap = gap
+    """A numerical routine failed to converge (an eigenvalue solve in
+    :func:`bandedvar.linalg.spectral_radius`)."""
 
 
 class NonStationaryError(BandedVarError):

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular as _solve_triangular
+from scipy.linalg.lapack import dtrtrs as _dtrtrs
 
 from .errors import SingularDesignError
 from .linalg import RANK_TOL, BandedMatrix, lstsq
@@ -149,7 +149,9 @@ def fit_banded_var(
         except SingularDesignError as exc:
             return exc
         w = r.shape[0] - 1
-        beta = _solve_triangular(r[:w, :w], r[:w, w], lower=False, check_finite=False)
+        beta, info = _dtrtrs(r[:w, :w], r[:w, w])
+        if info != 0:
+            raise SingularDesignError(f"row {i}: dtrtrs failed with info={info}", row=i)
         # ring order (series by distance, lags inside) to lag-major, series ascending
         beta = beta.reshape(-1, d)[np.argsort(_ring_series(i, k, p))].T.ravel()
         return beta, float(r[w, w] ** 2)

@@ -45,13 +45,12 @@ def predict(model: BandedVarModel, history, h: int = 1, mean=None) -> np.ndarray
     if mean is not None:
         mean = np.asarray(mean, dtype=float)
         vals = vals - mean[:, None]
-    coeffs = [a.to_dense() for a in model.coeffs]
     state = [vals[:, -ell] for ell in range(1, d + 1)]  # most recent first
     out = np.empty((model.p, h))
     for s in range(h):
         nxt = np.zeros(model.p)
-        for ell, a in enumerate(coeffs):
-            nxt += a @ state[ell]
+        for ell, a in enumerate(model.coeffs):
+            nxt += a.matvec(state[ell])
         out[:, s] = nxt
         state = [nxt] + state[: d - 1]
     if mean is not None:

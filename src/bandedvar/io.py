@@ -46,7 +46,7 @@ def write_timeseries_csv(path, ts: TimeSeries) -> None:
 
 
 def read_timeseries_csv(path) -> TimeSeries:
-    rows = []
+    rows, linenos = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -70,10 +70,19 @@ def read_timeseries_csv(path) -> TimeSeries:
                 raise DataFormatError(
                     f"{path}: line {lineno}: {exc}", line=lineno
                 ) from None
+            linenos.append(lineno)
     if not rows:
         raise DataFormatError(f"{path}: no data rows", line=1)
-    values = np.array(rows, dtype=float).T
-    return TimeSeries(values, labels=tuple(header))
+    values = np.array(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        t, j = bad[0]
+        raise DataFormatError(
+            f"{path}: line {linenos[t]}: non-finite value {float(values[t, j])} "
+            f"in column {header[j]!r}",
+            line=linenos[t],
+        )
+    return TimeSeries(values.T, labels=tuple(header))
 
 
 def read_coords_csv(path):

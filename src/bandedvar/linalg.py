@@ -9,8 +9,10 @@ array is always an explicit call, never implicit. Dense matrices are plain
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import eigvalsh as _eigvalsh
 from scipy.linalg import qr as _qr
 from scipy.linalg import solve_triangular as _solve_triangular
+from scipy.linalg.blas import dgbmv as _dgbmv
 
 from .errors import ConvergenceError, SingularDesignError
 
@@ -30,12 +32,6 @@ __all__ = [
 RANK_TOL = 1e-12
 
 
-def _frozen(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 class BandedMatrix:
     """Square matrix with entries confined to ``|i - j| <= k``, stored by diagonals.
 
@@ -43,10 +39,12 @@ class BandedMatrix:
     minus row index): index 0 is the lowest sub-diagonal, index ``2k`` the
     highest super-diagonal. The diagonal at offset ``o`` has length ``p - |o|``
     and its ``t``-th entry is element ``(t, t + o)`` for ``o >= 0`` and
-    ``(t - o, t)`` for ``o < 0``. Instances are immutable.
+    ``(t - o, t)`` for ``o < 0``. The diagonals are views into one array in
+    LAPACK general band layout, element ``(i, j)`` at ``[k + i - j, j]``, so
+    :meth:`matvec` is a single BLAS ``dgbmv`` call. Instances are immutable.
     """
 
-    __slots__ = ("p", "k", "diagonals")
+    __slots__ = ("p", "k", "diagonals", "_packed")
 
     def __init__(self, p: int, k: int, diagonals):
         p = int(p)
@@ -58,20 +56,27 @@ class BandedMatrix:
         diags = list(diagonals)
         if len(diags) != 2 * k + 1:
             raise ValueError(f"expected {2 * k + 1} diagonals, got {len(diags)}")
-        frozen = []
+        packed = np.zeros((2 * k + 1, p), order="F")
+        views = []
         for m, d in enumerate(diags):
-            arr = _frozen(d)
+            arr = np.asarray(d, dtype=float)
             want = p - abs(m - k)
             if arr.shape != (want,):
                 raise ValueError(
                     f"diagonal at offset {m - k} has length {arr.shape}, expected ({want},)"
                 )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("banded matrix entries must be finite")
-            frozen.append(arr)
+            o = m - k
+            view = packed[k - o, max(o, 0) : p + min(o, 0)]
+            view[:] = arr
+            view.flags.writeable = False
+            views.append(view)
+        if not np.all(np.isfinite(packed)):
+            raise ValueError("banded matrix entries must be finite")
+        packed.flags.writeable = False
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "diagonals", tuple(frozen))
+        object.__setattr__(self, "diagonals", tuple(views))
+        object.__setattr__(self, "_packed", packed)
 
     def __setattr__(self, name, value):
         raise AttributeError("BandedMatrix is immutable")
@@ -137,14 +142,10 @@ class BandedMatrix:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.p,):
             raise ValueError(f"vector length {v.shape} does not match p={self.p}")
-        out = np.zeros(self.p)
-        for m, d in enumerate(self.diagonals):
-            o = m - self.k
-            if o >= 0:
-                out[: self.p - o] += d * v[o:]
-            else:
-                out[-o:] += d * v[: self.p + o]
-        return out
+        # scipy's dgbmv wrapper wants at least 2k + 1 rows; rows past p read
+        # the zero padding of the packed array and are dropped.
+        rows = max(self.p, 2 * self.k + 1)
+        return _dgbmv(rows, self.p, self.k, self.k, 1.0, self._packed, v)[: self.p]
 
     def __repr__(self):
         return f"BandedMatrix(p={self.p}, k={self.k})"
@@ -240,15 +241,9 @@ def frobenius_norm(m) -> float:
     return float(np.sqrt((m * m).sum()))
 
 
-def spectral_norm(m, tol: float = 1e-10, max_iter: int = 10000, block: int = 4) -> float:
-    """Largest singular value, by block power iteration on the Gram matrix.
-
-    A small orthonormal block is iterated so that clustered top singular
-    values do not stall the sweep; the leading Rayleigh-Ritz value is accepted
-    once its relative change falls below ``tol``. Raises
-    :class:`ConvergenceError` after ``max_iter`` sweeps, carrying the last
-    estimate and the remaining gap.
-    """
+def spectral_norm(m) -> float:
+    """Largest singular value: the square root of the top eigenvalue of the
+    smaller Gram matrix, from one LAPACK symmetric eigensolver call."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ValueError("input must be 2-D")
@@ -257,32 +252,9 @@ def spectral_norm(m, tol: float = 1e-10, max_iter: int = 10000, block: int = 4) 
     if m.size == 0:
         return 0.0
     g = m.T @ m if m.shape[1] <= m.shape[0] else m @ m.T
-    nside = g.shape[0]
-    b = max(1, min(block, nside))
-    # Deterministic ramped start, orthonormalised; never orthogonal to the
-    # leading eigenspace for the matrices seen here.
-    seed = np.empty((nside, b))
-    ramp = 1.0 + np.arange(nside) / (2.0 * nside)
-    for c in range(b):
-        seed[:, c] = np.roll(ramp, c) + c * np.linspace(0.0, 1.0, nside)
-    v, _ = _qr(seed, mode="economic", check_finite=False)
-    lam_prev = -np.inf
-    lam = 0.0
-    for _ in range(max_iter):
-        w = g @ v
-        small = v.T @ w
-        lam = float(np.linalg.eigvalsh(0.5 * (small + small.T)).max())
-        if not np.any(w):
-            return 0.0
-        v, _ = _qr(w, mode="economic", check_finite=False)
-        if abs(lam - lam_prev) <= tol * max(abs(lam), np.finfo(float).tiny):
-            return float(np.sqrt(max(lam, 0.0)))
-        lam_prev = lam
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations",
-        last_estimate=float(np.sqrt(max(lam, 0.0))),
-        gap=abs(lam - lam_prev),
-    )
+    top = g.shape[0] - 1
+    lam = _eigvalsh(g, subset_by_index=[top, top], check_finite=False)[0]
+    return float(np.sqrt(max(lam, 0.0)))
 
 
 def spectral_radius(m) -> float:

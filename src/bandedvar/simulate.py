@@ -148,15 +148,10 @@ def simulate_var(
     sigma = model.sigma_eps if model.sigma_eps is not None else np.eye(p)
     factor = _innovation_factor(np.asarray(sigma))
     total = burn_in + n
-    eps = factor @ rng.standard_normal((p, total))
-    coeffs = [a.to_dense() for a in model.coeffs]
-    out = np.zeros((p, total))
+    out = factor @ rng.standard_normal((p, total))  # innovations, updated in place
     for t in range(total):
-        acc = eps[:, t].copy()
-        for ell, a in enumerate(coeffs, start=1):
-            if t - ell >= 0:
-                acc += a @ out[:, t - ell]
-        out[:, t] = acc
+        for ell, a in enumerate(model.coeffs[:t], start=1):
+            out[:, t] += a.matvec(out[:, t - ell])
     return TimeSeries(out[:, burn_in:], labels=labels)
 
 

@@ -4,8 +4,9 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
-from bandedvar import TimeSeries, predict
+from bandedvar import DataFormatError, TimeSeries, predict
 from bandedvar.cli import main
 from bandedvar.io import (
     load_model_json,
@@ -152,6 +153,16 @@ class TestSelectCommand:
         code = run("select", "--data", bad, "--out", tmp_path / "s")
         assert code == 1
         assert "line 3" in capsys.readouterr().err
+
+
+class TestReadTimeseriesCsv:
+    def test_non_finite_value_names_line_and_column(self, tmp_path):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("a,b\n1.0,2.0\n3.0,nan\n")
+        with pytest.raises(DataFormatError) as err:
+            read_timeseries_csv(bad)
+        assert err.value.line == 3
+        assert "'b'" in str(err.value)
 
 
 class TestOrderCommand:

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
 from bandedvar import (
     BandedMatrix,
-    ConvergenceError,
     SingularDesignError,
     band_product,
     frobenius_norm,
@@ -15,6 +15,7 @@ from bandedvar import (
     spectral_norm,
     spectral_radius,
 )
+from bandedvar.rng import substream
 
 
 def random_banded(p, k, rng, integer=False):
@@ -64,6 +65,15 @@ class TestBandedMatrix:
         dense = random_banded(7, 2, rng)
         m = BandedMatrix.from_dense(dense, 2)
         v = rng.normal(size=7)
+        assert np.allclose(m.matvec(v), dense @ v, atol=1e-12)
+
+    @pytest.mark.parametrize("p,k", [(2, 1), (5, 3), (6, 5)])
+    def test_matvec_wide_band_matches_dense(self, p, k):
+        # 2k + 1 > p: more diagonals than rows.
+        rng = np.random.default_rng(1)
+        dense = random_banded(p, k, rng)
+        m = BandedMatrix.from_dense(dense, k)
+        v = rng.normal(size=p)
         assert np.allclose(m.matvec(v), dense @ v, atol=1e-12)
 
     def test_immutable(self):
@@ -210,10 +220,20 @@ class TestSpectralNorm:
             m = rng.normal(size=(5, 5))
             assert spectral_norm(m) ** 2 <= l1_norm(m) * linf_norm(m) + 1e-8
 
-    def test_nonconvergence_carries_estimate(self):
-        with pytest.raises(ConvergenceError) as err:
-            spectral_norm(np.diag([1.0, 1.0 - 1e-13]) @ np.array([[0.0, 1.0], [1.0, 0.0]]) @ np.eye(2), max_iter=1)
-        assert err.value.last_estimate is not None
+    @pytest.mark.parametrize("shape", [(30, 8), (8, 30)])
+    def test_matches_svd_rectangular(self, shape):
+        m = np.random.default_rng(13).normal(size=shape)
+        top = svdvals(m)[0]
+        assert abs(spectral_norm(m) - top) <= 1e-12 * top
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_svd_raw_banded_draw(self, seed):
+        # The unscaled matrix gen_coeff_uniform(100, 1, ...) draws first.
+        rng = substream(seed, "coeffs")
+        m = BandedMatrix(100, 1, [rng.uniform(-1.0, 1.0, size=100 - abs(j - 1)) for j in range(3)])
+        dense = m.to_dense()
+        top = svdvals(dense)[0]
+        assert abs(spectral_norm(dense) - top) <= 1e-12 * top
 
 
 class TestSpectralRadius:

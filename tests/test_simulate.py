@@ -155,6 +155,29 @@ class TestSimulateVar:
         assert ts.values.shape == (2, 500)
         assert np.all(np.isfinite(ts.values))
 
+    @pytest.mark.parametrize("burn_in", [0, 5])
+    def test_matches_dense_recursion(self, burn_in):
+        p, n = 12, 40
+        coeffs = [
+            gen_coeff_uniform(p, 1, substream(16, "coeffs", lag), target_norm=0.4)
+            for lag in range(2)
+        ]
+        sigma = gen_sigma_eps_structured(p)
+        model = BandedVarModel(p, 2, 1, coeffs, sigma)
+        ts = simulate_var(model, n, burn_in=burn_in, rng=substream(16, "innovations"))
+
+        total = burn_in + n
+        eps = np.linalg.cholesky(sigma) @ substream(16, "innovations").standard_normal((p, total))
+        dense = [a.to_dense() for a in coeffs]
+        ref = np.zeros((p, total))
+        for t in range(total):
+            ref[:, t] = eps[:, t]
+            for lag in (1, 2):
+                if t >= lag:
+                    ref[:, t] += dense[lag - 1] @ ref[:, t - lag]
+        ref = ref[:, burn_in:]
+        assert np.abs(ts.values - ref).max() <= 1e-12 * np.abs(ref).max()
+
 
 class TestSimConfig:
     def test_mixture_with_zero_band_rejected(self):
