@@ -11,6 +11,13 @@ where each bootstrap replicate S* reweights the summands of the sample
 autocovariance with i.i.d. unit-mean unit-variance multipliers (standard
 exponential by default). Hard thresholding is tuned the same way over a grid
 of cutoffs.
+
+No cut replicate is formed: with D = |S* - S| - |S|, a cut's column c sums to
+sum_i |S_ic| plus D over the entries it keeps. Banding needs only the diagonals
+|o| <= max(grid) of S*, one (p - |o|) x n x q product each, and a running column
+sum of D scores every half-width: O(p r_max n q) in all. Thresholding forms each
+replicate (O(p^2 n)), bins its entries by the number of cutoffs below |S*|, sums
+D per (column, bin) and scores all G cutoffs from one suffix sum: O(p^2 log G).
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import l1_norm
 from .model import TimeSeries
 from .rng import as_generator
 
@@ -55,16 +61,14 @@ def band(h, r: int) -> np.ndarray:
         raise ValueError("banding is defined for square matrices")
     if r < 0:
         raise ValueError("band half-width must be non-negative")
-    idx = np.arange(h.shape[0])
-    mask = np.abs(idx[:, None] - idx[None, :]) <= r
-    return np.where(mask, h, 0.0)
+    return np.triu(np.tril(h, r), -r)
 
 
 def hard_threshold(h, t: float) -> np.ndarray:
     """Keep entries with |value| > t, zero the rest."""
     h = np.asarray(h, dtype=float)
-    if t < 0:
-        raise ValueError("threshold must be non-negative")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"threshold must be finite and non-negative, got {t!r}")
     return np.where(np.abs(h) > t, h, 0.0)
 
 
@@ -112,87 +116,90 @@ class BootstrapRisk:
         }
 
 
-def _bootstrap_risks(ts, j, q, rng, weights, evaluate, n_candidates):
-    n = ts.n
-    if not 0 <= j < n:
-        raise ValueError(f"lag {j} out of range for a series of length {n}")
+def _bootstrap_select(ts, j, grid, q, rng, weights, method) -> BootstrapRisk:
+    sample = sample_autocov(ts, j)
+    banding = method == "band"
+    if grid is None:
+        grid = default_band_grid(ts.n, ts.p) if banding else default_threshold_grid(sample)
+    grid = np.asarray(grid, dtype=None if banding else float)
+    if grid.size == 0:
+        raise ValueError("empty candidate grid")
+    for pos, value in enumerate(grid.ravel().tolist()):
+        if not (0 <= value < math.inf and (value == round(value) or not banding)):
+            kind = "whole" if banding else "finite"
+            raise ValueError(f"grid entry {value!r} at position {pos} is not a {kind} number >= 0")
     if q < 1:
         raise ValueError("need at least one bootstrap replicate")
     rng = as_generator(rng, label="bootstrap")
     if weights is None:
         weights = lambda g, size: g.standard_exponential(size)
-    xc = ts.values - ts.values.mean(axis=1, keepdims=True)
-    left, right = xc[:, : n - j], xc[:, j:]
-    risks = np.zeros(n_candidates)
-    for _ in range(q):
+    n = ts.n
+    draws = []
+    for k in range(q):
         u = np.asarray(weights(rng, n - j), dtype=float)
-        star = (left * u) @ right.T / n
-        risks += evaluate(star)
-    return risks / q
+        if u.shape != (n - j,) or not np.isfinite(u).all():
+            got = f"shape {u.shape}" if u.shape != (n - j,) else "non-finite values"
+            raise ValueError(f"bootstrap replicate {k}: need {n - j} finite weights, got {got}")
+        draws.append(u)
+    xc = ts.values - ts.values.mean(axis=1, keepdims=True)
+    risks_of = _band_risks if banding else _threshold_risks
+    risks = risks_of(xc[:, : n - j], xc[:, j:], np.stack(draws), n, sample, grid)
+    argmin = (int if banding else float)(grid[np.argmin(risks)])  # ties: first position
+    return BootstrapRisk(grid=grid, risk=risks, q=q, argmin=argmin, lag=j, method=method)
+
+
+def _band_risks(left, right, u, n, sample, grid):
+    """Every half-width's risk from the diagonals |o| <= max(grid) of S*."""
+    p = len(sample)
+    cols = np.tile(np.abs(sample).sum(axis=0), (len(u), 1))
+    curve = np.empty(int(min(grid.max(), p - 1)) + 1)
+    for r in range(len(curve)):
+        for o in (r, -r) if r else (0,):
+            a, b = max(-o, 0), max(o, 0)  # first row and column of diagonal o
+            star = (left[a : p - b] * right[b : p - a]) @ u.T / n
+            s = np.diagonal(sample, o)[:, None]
+            cols[:, b : p - a] += (np.abs(star - s) - np.abs(s)).T
+        curve[r] = cols.max(axis=1).mean()
+    return curve[np.minimum(grid, p - 1).astype(int)]
+
+
+def _threshold_risks(left, right, u, n, sample, grid):
+    """Every cutoff's risk from per-column sums of D binned by sorted cutoff."""
+    p, g = len(sample), grid.size
+    order = np.argsort(grid, kind="stable")
+    abs_s = np.abs(sample)
+    slot = np.arange(p) * (g + 1)  # bincount index of (column c, bin 0)
+    total = np.zeros(g)
+    for w in u:
+        star = (left * w) @ right.T / n
+        d = abs(star - sample) - abs_s  # operators reuse the temporary in place
+        # bin b = number of cutoffs below |S*|: kept for the sorted cutoffs before b
+        bins = np.searchsorted(grid[order], np.abs(star, out=star), side="left")
+        bins += slot
+        sums = np.bincount(bins.ravel(), d.ravel(), minlength=p * (g + 1))
+        kept = np.cumsum(sums.reshape(p, g + 1)[:, :0:-1], axis=1)[:, ::-1]
+        total += (abs_s.sum(axis=0)[:, None] + kept).max(axis=0)
+        del star, d, bins  # free before the next replicate allocates its own
+    return (total / len(u))[np.argsort(order)]
 
 
 def bootstrap_select_band(
-    ts: TimeSeries,
-    j: int = 0,
-    grid=None,
-    q: int = 100,
-    rng=None,
-    weights=None,
+    ts: TimeSeries, j: int = 0, grid=None, q: int = 100, rng=None, weights=None
 ) -> BootstrapRisk:
     """Pick the banding half-width minimising the bootstrap L1 risk.
 
     ``weights`` may replace the standard-exponential multiplier law with any
     ``(rng, size) -> array`` callable drawing unit-mean, unit-variance
-    weights. Ties on the risk curve go to the smaller half-width.
+    weights. Ties on the risk curve go to the first grid position.
     """
-    sample = sample_autocov(ts, j)
-    if grid is None:
-        grid = default_band_grid(ts.n, ts.p)
-    grid = np.asarray(grid)
-    if grid.size == 0:
-        raise ValueError("empty candidate grid")
-    idx = np.arange(ts.p)
-    masks = [np.abs(idx[:, None] - idx[None, :]) <= r for r in grid]
-
-    def evaluate(star):
-        return np.array(
-            [l1_norm(np.where(m, star - sample, -sample)) for m in masks]
-        )
-
-    risks = _bootstrap_risks(ts, j, q, rng, weights, evaluate, grid.size)
-    best = int(np.argmin(risks))
-    return BootstrapRisk(
-        grid=grid, risk=risks, q=q, argmin=int(grid[best]), lag=j, method="band"
-    )
+    return _bootstrap_select(ts, j, grid, q, rng, weights, "band")
 
 
 def bootstrap_select_threshold(
-    ts: TimeSeries,
-    j: int = 0,
-    grid=None,
-    q: int = 100,
-    rng=None,
-    weights=None,
+    ts: TimeSeries, j: int = 0, grid=None, q: int = 100, rng=None, weights=None
 ) -> BootstrapRisk:
     """Pick the hard-threshold cutoff minimising the bootstrap L1 risk."""
-    sample = sample_autocov(ts, j)
-    if grid is None:
-        grid = default_threshold_grid(sample)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty candidate grid")
-
-    def evaluate(star):
-        astar = np.abs(star)
-        return np.array(
-            [l1_norm(np.where(astar > t, star - sample, -sample)) for t in grid]
-        )
-
-    risks = _bootstrap_risks(ts, j, q, rng, weights, evaluate, grid.size)
-    best = int(np.argmin(risks))
-    return BootstrapRisk(
-        grid=grid, risk=risks, q=q, argmin=float(grid[best]), lag=j, method="threshold"
-    )
+    return _bootstrap_select(ts, j, grid, q, rng, weights, "threshold")
 
 
 @dataclass
@@ -227,22 +234,16 @@ def estimate_autocov(
     sample = sample_autocov(ts, j)
     if method == "sample":
         return AutocovEstimate(j=j, matrix=sample, method="sample", tuning={})
-    if method == "banded":
-        if r is None:
-            risk = bootstrap_select_band(ts, j, q=q, rng=rng)
-            r = int(risk.argmin)
-            tuning = {"r": r, "selected_by": "bootstrap", "q": q}
-        else:
-            tuning = {"r": int(r), "selected_by": "fixed"}
-        return AutocovEstimate(j=j, matrix=band(sample, int(r)), method="banded", tuning=tuning)
-    if method == "thresholded":
-        if t is None:
-            risk = bootstrap_select_threshold(ts, j, q=q, rng=rng)
-            t = float(risk.argmin)
-            tuning = {"t": t, "selected_by": "bootstrap", "q": q}
-        else:
-            tuning = {"t": float(t), "selected_by": "fixed"}
-        return AutocovEstimate(
-            j=j, matrix=hard_threshold(sample, float(t)), method="thresholded", tuning=tuning
-        )
-    raise ValueError(f"unknown method {method!r}")
+    if method not in ("banded", "thresholded"):
+        raise ValueError(f"unknown method {method!r}")
+    banding = method == "banded"
+    key, value = ("r", r) if banding else ("t", t)
+    if value is None:
+        select = bootstrap_select_band if banding else bootstrap_select_threshold
+        value = select(ts, j, q=q, rng=rng).argmin
+        tuning = {key: value, "selected_by": "bootstrap", "q": q}
+    else:
+        value = int(value) if banding else float(value)
+        tuning = {key: value, "selected_by": "fixed"}
+    matrix = band(sample, value) if banding else hard_threshold(sample, value)
+    return AutocovEstimate(j=j, matrix=matrix, method=method, tuning=tuning)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandedvar import (
     BandedVarModel,
@@ -19,7 +21,7 @@ from bandedvar import (
     simulate_var,
     theoretical_autocov_var1,
 )
-from bandedvar.autocov import default_band_grid
+from bandedvar.autocov import default_band_grid, default_threshold_grid
 from bandedvar.rng import substream
 
 
@@ -27,6 +29,37 @@ def table4_style_panel(p, n, seed, k0=3, norm=0.8):
     a = gen_coeff_uniform(p, k0, substream(seed, "coeffs"), target_norm=norm)
     model = BandedVarModel(p, 1, k0, [a], gen_sigma_eps_structured(p))
     return model, simulate_var(model, n, rng=substream(seed, "innovations"))
+
+
+def exponential(g, size):
+    return g.standard_exponential(size)
+
+
+def unit_weights(g, size):
+    return np.ones(size)
+
+
+def brute_force_risk(ts, j, method, grid, q, rng, weights=exponential):
+    """Bootstrap L1 risk by definition: cut every replicate densely per grid value."""
+    n = ts.n
+    xc = ts.values - ts.values.mean(axis=1, keepdims=True)
+    sample = sample_autocov(ts, j)
+    cut = band if method == "band" else hard_threshold
+    risks = np.zeros(len(grid))
+    for _ in range(q):
+        star = (xc[:, : n - j] * weights(rng, n - j)) @ xc[:, j:].T / n
+        risks += [l1_norm(cut(star, value) - sample) for value in grid]
+    return risks / q
+
+
+def assert_matches_brute_force(ts, j, method, grid, q, seed, weights=exponential):
+    select = bootstrap_select_band if method == "band" else bootstrap_select_threshold
+    risk = select(ts, j, grid=grid, q=q, rng=substream(seed, "boot"), weights=weights)
+    brute = brute_force_risk(ts, j, method, grid, q, substream(seed, "boot"), weights)
+    scale = np.abs(brute).max()
+    assert np.abs(risk.risk - brute).max() <= 1e-12 * scale
+    assert risk.argmin == np.asarray(grid)[np.argmin(brute)]
+    return risk
 
 
 class TestSampleAutocov:
@@ -237,3 +270,241 @@ class TestEstimateAutocov:
         grid = default_band_grid(200, 100)
         assert grid[0] == 0
         assert grid[-1] == 2 * 4 + 5
+
+
+class TestRiskMatchesBruteForce:
+    @pytest.mark.parametrize("j", [0, 1, 3])
+    @pytest.mark.parametrize("weights", [exponential, unit_weights])
+    def test_default_grids(self, j, weights):
+        _, ts = table4_style_panel(20, 60, seed=40 + j)
+        sample = sample_autocov(ts, j)
+        assert_matches_brute_force(ts, j, "band", default_band_grid(ts.n, ts.p), 7, 1, weights)
+        grid = default_threshold_grid(sample)
+        assert_matches_brute_force(ts, j, "threshold", grid, 7, 2, weights)
+
+    @pytest.mark.parametrize(
+        "grid", [[5, 0, 3, 1], [2, 2, 0, 0, 2], [0, 11, 12, 40, 3], [12.0, 1.0, 12.0], [30]]
+    )
+    def test_awkward_band_grids(self, grid):
+        _, ts = table4_style_panel(12, 50, seed=44)
+        for j in (0, 1):
+            risk = assert_matches_brute_force(ts, j, "band", grid, 5, 3)
+            assert type(risk.argmin) is int
+
+    def test_awkward_threshold_grids(self):
+        _, ts = table4_style_panel(12, 50, seed=45)
+        for j in (0, 1):
+            sample = np.abs(sample_autocov(ts, j))
+            exact = sample[3, 4]
+            top = sample.max()
+            rng = substream(45, "grid", j)
+            long = np.linspace(0.0, 1.1 * top, 90)
+            for grid in (
+                [top, 0.0, exact, 0.5 * top],
+                [exact, exact, 0.0, top, 0.0],
+                [0.0],
+                [2.0 * top, top],
+                rng.permutation(long),
+                np.concatenate([long, [exact, exact]]),
+            ):
+                risk = assert_matches_brute_force(ts, j, "threshold", grid, 5, 4)
+                assert type(risk.argmin) is float
+
+    @pytest.mark.parametrize("every_entry", [False, True])
+    def test_exact_entry_cutoff_drops_that_entry(self, every_entry):
+        # With unit weights a lag-1 replicate is the sample to the last bit
+        # (at lag 0 numpy forms the sample with a symmetric kernel instead),
+        # so a cutoff at an entry's exact magnitude drops that entry.
+        _, ts = table4_style_panel(10, 40, seed=46)
+        sample = np.abs(sample_autocov(ts, 1))
+        grid = np.unique(sample) if every_entry else np.unique(sample)[[0, 3, -2, -1]]
+        risk = assert_matches_brute_force(ts, 1, "threshold", grid, 1, 5, unit_weights)
+        assert risk.risk[-1] == l1_norm(sample)
+
+    @settings(max_examples=60)
+    @given(
+        p=st.integers(1, 6),
+        n=st.integers(4, 24),
+        j=st.integers(0, 2),
+        q=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_random_grids(self, p, n, j, q, seed, data):
+        values = substream(seed, "series").standard_normal((p, n))
+        ts = TimeSeries(values + 3.0 * np.arange(p)[:, None])
+        band_grid = data.draw(st.lists(st.integers(0, p + 2), min_size=1, max_size=8))
+        top = float(np.abs(sample_autocov(ts, j)).max())
+        exact = float(np.abs(sample_autocov(ts, j)).flat[0])
+        cuts = st.one_of(st.floats(0.0, 1.2 * top), st.sampled_from([0.0, exact, top]))
+        threshold_grid = data.draw(st.lists(cuts, min_size=1, max_size=8))
+        for method, grid in (("band", band_grid), ("threshold", threshold_grid)):
+            select = bootstrap_select_band if method == "band" else bootstrap_select_threshold
+            risk = select(ts, j, grid=grid, q=q, rng=substream(seed, "boot"))
+            brute = brute_force_risk(ts, j, method, grid, q, substream(seed, "boot"))
+            tol = 1e-12 * max(np.abs(brute).max(), 1e-300)
+            assert np.abs(risk.risk - brute).max() <= tol
+            # the pick minimises the brute-force curve, up to rounding
+            assert brute[list(grid).index(risk.argmin)] <= brute.min() + tol
+
+
+PINNED = {
+    (31, 0, "band"): (
+        5,
+        [
+            8.975082930547275, 7.0372209637376315, 6.285928492470406, 6.37218343716903,
+            6.296684959790783, 6.190151387280162, 6.346332926539387, 6.422735294227907,
+            6.431340887751564, 6.334507020415209, 6.382782770732273, 6.4600810101095,
+        ],
+    ),
+    (31, 0, "threshold"): (
+        0.12309723843281875,
+        [
+            6.187781675253605, 6.186999325370282, 6.268780761753273, 6.512783346397725,
+            6.819853164431858, 6.951425300436831, 7.188099045300594, 7.34673424602625,
+            7.803013746776157, 8.227347073308938, 8.336618623788624, 8.710742977812831,
+            9.052130798173451, 9.343839370800925, 9.586623595045278, 9.731971680418008,
+            9.902785983025352, 10.006663311430724, 10.224127534935583, 10.343335784175673,
+            10.581752282655856,
+        ],
+    ),
+    (31, 1, "band"): (
+        11,
+        [
+            8.790544069567057, 7.965219344794574, 7.606898798513503, 7.146280746084417,
+            7.088387076565153, 6.921322139709217, 6.986172162760928, 6.926227754527011,
+            6.960501580620191, 6.974518138842383, 6.793053732154425, 6.786243761443932,
+        ],
+    ),
+    (31, 1, "threshold"): (
+        0.050151597895491194,
+        [
+            5.98318567099676, 5.9696196723822785, 5.998866613267186, 6.124905103163283,
+            6.2437792221020585, 6.414643682966788, 6.637481330675563, 6.8647334634890385,
+            7.1588513357177135, 7.3750089151279585, 7.647529919629434, 8.11125233626154,
+            8.290392176410876, 8.620649415397653, 8.84254554269706, 8.950070811243267,
+            9.098421334445845, 9.17396709481942, 9.191614873919036, 9.253837994632002,
+            9.299941340185786,
+        ],
+    ),
+    (32, 0, "band"): (
+        11,
+        [
+            9.195438719236432, 7.629007528998665, 6.78507919773252, 6.720004115836396,
+            6.611550497479821, 6.645017867534223, 6.637366937251231, 6.673164335097387,
+            6.7197374186318175, 6.690888806244509, 6.613976041974469, 6.502223965918392,
+        ],
+    ),
+    (32, 0, "threshold"): (
+        0.0,
+        [
+            6.671848324704143, 6.702974031047373, 6.728816028400841, 6.7993115334875585,
+            7.094151360539989, 7.25149722932864, 7.459720723485868, 7.966140654967994,
+            8.38343070465773, 8.801773115126796, 8.961505151906156, 9.10649812292105,
+            9.279539696290733, 9.60414310819954, 9.96542923349708, 10.057539406312324,
+            10.36919402030734, 10.655226364134483, 10.655226364134483, 10.77114642956649,
+            10.824934820492015,
+        ],
+    ),
+    (32, 1, "band"): (
+        10,
+        [
+            7.710054720206384, 6.639843738734155, 6.396805628034628, 6.083430068495291,
+            6.045741863715419, 5.960292807899176, 5.808050486896295, 5.752389629406499,
+            5.751060165428585, 5.833444267185287, 5.726807839944744, 5.75817323068563,
+        ],
+    ),
+    (32, 1, "threshold"): (
+        0.2896653623739413,
+        [
+            7.135720940728089, 7.133537380080763, 7.182387131881468, 7.167485642503744,
+            7.1062628809660975, 7.22652448680236, 7.351300765322425, 7.56244212558403,
+            7.605568204436612, 7.825028086004897, 7.909041285808233, 7.813910431156925,
+            7.8968603089451035, 7.9467975343699635, 7.9461099695132775, 8.189895442653171,
+            8.264255409514583, 8.288522081611127, 8.384397329721983, 8.507244009391773,
+            8.550595671544112,
+        ],
+    ),
+}
+
+
+class TestPinnedSelections:
+    """Picks and curves recorded from the dense-mask implementation."""
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_pinned_seed(self, key):
+        seed, j, method = key
+        _, ts = table4_style_panel(24, 80, seed)
+        select = bootstrap_select_band if method == "band" else bootstrap_select_threshold
+        risk = select(ts, j, q=20, rng=substream(seed, "bootstrap", j, method))
+        argmin, curve = PINNED[key]
+        assert risk.argmin == argmin
+        assert np.abs(risk.risk - curve).max() <= 1e-12 * max(curve)
+
+    @pytest.mark.parametrize("select", [bootstrap_select_band, bootstrap_select_threshold])
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_stream_position(self, select, j):
+        _, ts = table4_style_panel(10, 50, seed=47)
+        rng, ref = substream(47, "boot"), substream(47, "boot")
+        select(ts, j, q=6, rng=rng)
+        for _ in range(6):
+            ref.standard_exponential(ts.n - j)
+        assert rng.random() == ref.random()
+
+    def test_custom_weights_called_with_int_size(self):
+        _, ts = table4_style_panel(10, 50, seed=48)
+        sizes = []
+
+        def weights(g, size):
+            sizes.append(size)
+            return g.standard_exponential(size)
+
+        bootstrap_select_band(ts, 1, q=3, rng=1, weights=weights)
+        assert sizes == [49, 49, 49] and all(type(s) is int for s in sizes)
+
+
+class TestTuningValidation:
+    @pytest.mark.parametrize(
+        "grid, bad", [([0, 2, -1], "-1"), ([0, 1.5], "1.5"), ([3, float("nan")], "nan")]
+    )
+    def test_band_grid_entry_named(self, grid, bad):
+        _, ts = table4_style_panel(10, 50, seed=49)
+        with pytest.raises(ValueError, match=f"grid entry {bad} at position {len(grid) - 1}"):
+            bootstrap_select_band(ts, 0, grid=grid, q=2)
+
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
+    def test_threshold_grid_entry_named(self, bad):
+        _, ts = table4_style_panel(10, 50, seed=50)
+        with pytest.raises(ValueError, match=f"grid entry {bad} at position 1"):
+            bootstrap_select_threshold(ts, 0, grid=[0.1, bad, 0.2], q=2)
+
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
+    def test_bad_cutoff_rejected(self, bad):
+        _, ts = table4_style_panel(10, 50, seed=51)
+        with pytest.raises(ValueError, match="threshold"):
+            hard_threshold(np.eye(3), bad)
+        with pytest.raises(ValueError, match="threshold"):
+            estimate_autocov(ts, 0, method="thresholded", t=bad)
+
+    @pytest.mark.parametrize(
+        "draw, got",
+        [
+            (lambda g, size: np.ones(size + 1), r"shape \(50,\)"),
+            (lambda g, size: np.ones((size, 1)), r"shape \(49, 1\)"),
+            (lambda g, size: 1.0, r"shape \(\)"),
+            (lambda g, size: np.full(size, np.nan), "non-finite"),
+        ],
+    )
+    def test_bad_weights_name_replicate(self, draw, got):
+        _, ts = table4_style_panel(10, 50, seed=52)
+        calls = []
+
+        def weights(g, size):
+            calls.append(size)
+            return draw(g, size) if len(calls) == 3 else g.standard_exponential(size)
+
+        message = f"replicate 2: need 49 finite weights, got {got}"
+        for select in (bootstrap_select_band, bootstrap_select_threshold):
+            calls.clear()
+            with pytest.raises(ValueError, match=message):
+                select(ts, 1, q=4, rng=1, weights=weights)
