@@ -149,7 +149,12 @@ def save_json(path, payload: dict) -> None:
 
 @dataclass
 class RunManifest:
-    """Everything needed to reproduce a command-line run bit for bit."""
+    """Everything needed to reproduce a command-line run bit for bit.
+
+    The creation time is written under a ``nondeterministic`` key, so two runs
+    with identical flags and seed write identical manifests once that key is
+    dropped.
+    """
 
     command: list
     config: dict
@@ -169,6 +174,6 @@ class RunManifest:
                 "seed": self.seed,
                 "outputs": [str(Path(o)) for o in self.outputs],
                 "version": self.version,
-                "created_utc": self.created_utc,
+                "nondeterministic": {"created_utc": self.created_utc},
             },
         )

@@ -1,0 +1,100 @@
+"""Golden command-line outputs: the cases, how to run them, and a rewriter.
+
+Each seed directory holds the files one fixed sequence of ``bandedvar``
+commands writes into an empty working directory (relative paths only), plus
+one ``<case>.stdout`` file per command. Manifests are stored without their
+``nondeterministic`` key, the one part of an output that differs between
+reruns with identical flags and seed.
+
+Every file is compared byte for byte, except those named in ``ROUNDING``:
+outputs built on a kernel whose swap may change only rounding, compared to
+1e-10 relative with integers still exact (see ``tests/test_golden.py``).
+
+Rewrite the golden files from the current library with
+
+    PYTHONPATH=src python tests/golden/generate.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+GOLDEN_DIR = Path(__file__).resolve().parent
+SEEDS = (3, 4)
+
+# (case name, argv); the case name is also the --out prefix
+CASES = (
+    ("sim", ["simulate", "--p", "40", "--n", "150", "--k0", "2", "--seed", "{seed}"]),
+    ("select", ["select", "--data", "sim.csv"]),
+    ("select_L2", ["select", "--data", "sim.csv", "--L", "2"]),
+    ("select_joint", ["select", "--data", "sim.csv", "--joint"]),
+    ("fit", ["fit", "--data", "sim.csv", "--k", "2"]),
+    ("forecast", ["forecast", "--data", "sim.csv", "--holdout", "10"]),
+    ("autocov_banded", ["autocov", "--data", "sim.csv", "--method", "banded",
+                        "--q", "20", "--seed", "{seed}"]),
+    ("autocov_thresholded", ["autocov", "--data", "sim.csv", "--method", "thresholded",
+                             "--q", "20", "--seed", "{seed}"]),
+    ("bench_t1", ["bench", "--table", "t1", "--p", "30", "--reps", "3", "--K", "5",
+                  "--seed", "{seed}"]),
+    ("bench_t4", ["bench", "--table", "t4", "--p", "30", "--reps", "2", "--q", "10",
+                  "--seed", "{seed}"]),
+)
+
+# Table 4 scores estimators against the model-implied autocovariance, whose
+# summation may change rounding without changing the maths.
+ROUNDING = ("bench_t4",)
+
+
+def is_rounding(name: str) -> bool:
+    return name.split(".", 1)[0] in ROUNDING
+
+
+def run_cases(seed: int) -> dict:
+    """Run every case for ``seed`` in a fresh directory; returns {file name: bytes}."""
+    from bandedvar.cli import main
+
+    outputs = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, argv in CASES:
+                argv = [a.format(seed=seed) for a in argv] + ["--out", name]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(argv)
+                if code != 0:
+                    raise RuntimeError(f"bandedvar {' '.join(argv)} exited with {code}")
+                outputs[f"{name}.stdout"] = out.getvalue().encode()
+        finally:
+            os.chdir(cwd)
+        for path in sorted(Path(tmp).iterdir()):
+            data = path.read_bytes()
+            if path.name.endswith(".manifest.json"):
+                doc = json.loads(data)
+                doc.pop("nondeterministic")
+                data = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+            outputs[path.name] = data
+    return outputs
+
+
+def main() -> None:
+    for seed in SEEDS:
+        target = GOLDEN_DIR / f"seed{seed}"
+        target.mkdir(exist_ok=True)
+        for old in target.iterdir():
+            old.unlink()
+        for name, data in run_cases(seed).items():
+            (target / name).write_bytes(data)
+        print(f"wrote {target}")
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, os.fspath(GOLDEN_DIR.parents[1] / "src"))
+    main()
