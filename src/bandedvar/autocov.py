@@ -223,7 +223,6 @@ def estimate_autocov(
     t: float | None = None,
     q: int = 100,
     rng=None,
-    c: float = 1.0,
 ) -> AutocovEstimate:
     """One-call estimator: sample, banded, or thresholded autocovariance.
 

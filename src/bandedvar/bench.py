@@ -193,11 +193,9 @@ def autocov_error_cell(
         model, ts = _draw_and_simulate(
             "uniform", p, k0, n, seed, rep, sigma=sigma, target_norm=target_norm
         )
-        sigma0 = theoretical_autocov_var1(model, 0)
-        a = model.coeffs[0].to_dense()
         out = {}
         for j in lags:
-            truth = sigma0 if j == 0 else sigma0 @ np.linalg.matrix_power(a.T, j)
+            truth = theoretical_autocov_var1(model, j)
             sample = sample_autocov(ts, j)
             pick_r = bootstrap_select_band(
                 ts, j, q=q, rng=substream(seed, "bootstrap", rep, j, "band")
@@ -298,7 +296,9 @@ def ordering_prediction_cell(
     return cell
 
 
-def table1_rows(ps, k0s, n=200, reps=100, K=15, seed=0, threads=1):
+def _selection_rows(key, ps, k0s, n, reps, K, seed, threads):
+    """Recovery frequencies of the ``key`` selector ("marginal" or "joint")
+    over a p x k0 grid, uniform (i) and mixture (ii) settings side by side."""
     rows = []
     for p in ps:
         for k0 in k0s:
@@ -306,29 +306,21 @@ def table1_rows(ps, k0s, n=200, reps=100, K=15, seed=0, threads=1):
             for tag, setting in (("i", "uniform"), ("ii", "mixture")):
                 cell = selection_frequency_cell(
                     setting, p, k0, n=n, reps=reps, K=K, seed=seed,
-                    with_joint=False, threads=threads,
-                )["marginal"]
+                    with_joint=key == "joint", threads=threads,
+                )[key]
                 row[f"{tag}_equal"] = cell["equal"]
                 row[f"{tag}_over"] = cell["over"]
                 row[f"{tag}_under"] = cell["under"]
             rows.append(row)
     return rows
+
+
+def table1_rows(ps, k0s, n=200, reps=100, K=15, seed=0, threads=1):
+    return _selection_rows("marginal", ps, k0s, n, reps, K, seed, threads)
 
 
 def table2_rows(ps, k0s, n=200, reps=100, K=15, seed=0, threads=1):
-    rows = []
-    for p in ps:
-        for k0 in k0s:
-            row = {"p": p, "k0": k0}
-            for tag, setting in (("i", "uniform"), ("ii", "mixture")):
-                cell = selection_frequency_cell(
-                    setting, p, k0, n=n, reps=reps, K=K, seed=seed, threads=threads,
-                )["joint"]
-                row[f"{tag}_equal"] = cell["equal"]
-                row[f"{tag}_over"] = cell["over"]
-                row[f"{tag}_under"] = cell["under"]
-            rows.append(row)
-    return rows
+    return _selection_rows("joint", ps, k0s, n, reps, K, seed, threads)
 
 
 def table3_rows(ps, k0s, n=200, reps=100, K=15, seed=0, threads=1):

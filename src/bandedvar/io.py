@@ -36,13 +36,17 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_timeseries_csv(path, ts: TimeSeries) -> None:
-    labels = ts.labels or tuple(f"y{i + 1}" for i in range(ts.p))
+def _write_csv(path, rows, header=None) -> None:
+    """Optional header through ``csv`` (which quotes labels), then one line per
+    row of ``rows`` in the 17-digit form of :func:`fmt`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(labels)
-        for t in range(ts.n):
-            writer.writerow([fmt(v) for v in ts.values[:, t]])
+        if header is not None:
+            csv.writer(fh, lineterminator="\n").writerow(header)
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+
+
+def write_timeseries_csv(path, ts: TimeSeries) -> None:
+    _write_csv(path, ts.values.T, ts.labels or tuple(f"y{i + 1}" for i in range(ts.p)))
 
 
 def read_timeseries_csv(path) -> TimeSeries:
@@ -114,13 +118,7 @@ def read_coords_csv(path):
 
 
 def write_matrix_csv(path, matrix, labels=None) -> None:
-    matrix = np.asarray(matrix, dtype=float)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if labels is not None:
-            writer.writerow(labels)
-        for row in matrix:
-            writer.writerow([fmt(v) for v in row])
+    _write_csv(path, np.asarray(matrix, dtype=float), labels)
 
 
 def save_model_json(path, model: BandedVarModel, means=None) -> None:

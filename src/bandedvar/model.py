@@ -2,8 +2,10 @@
 
 Holds the banded VAR model (order d, bandwidth parameter k0, coefficient
 matrices A_1..A_d, optional innovation covariance), the observed panel, the
-companion-form stationarity check, and series-based autocovariances for
-first-order models.
+companion-form stationarity check, and the implied autocovariances of
+first-order models. Their variance sums the series
+sigma_eps + sum_i A^i sigma_eps (A^T)^i by doubling to machine precision, and
+the truncation gap uses the exact tail A^(r+1) sigma0 (A^(r+1))^T.
 """
 
 from __future__ import annotations
@@ -191,23 +193,15 @@ def is_stationary(model: BandedVarModel, margin: float = 1e-6) -> bool:
     return spectral_radius(companion_matrix(model)) < 1.0 - margin
 
 
-_TAIL_TOL = 1e-12
+def _var1_variance(model: BandedVarModel):
+    """Coefficient matrix A and variance sigma0 = sum_i A^i sigma_eps (A^T)^i
+    of a stationary first-order model.
 
-
-def theoretical_autocov_var1(
-    model: BandedVarModel,
-    j: int = 0,
-    terms: int = 10000,
-    return_info: bool = False,
-):
-    """Lag-j autocovariance cov(y_t, y_{t+j}) implied by a stationary
-    first-order model.
-
-    The variance accumulates sigma_eps + sum_i A^i sigma_eps (A^T)^i,
-    stopping at ``terms`` summands or once a summand's Frobenius norm falls
-    below 1e-12, whichever comes first; lag j > 0 post-multiplies by (A^T)^j,
-    matching the orientation the lag-j sample autocovariance estimates. With
-    ``return_info=True`` also returns the number of summands used.
+    The series is summed by Smith doubling: with S the first m summands,
+    S + A^m S (A^m)^T is the first 2m. The rest of the series after m
+    summands is exactly A^m sigma0 (A^m)^T, so stopping once
+    ||A^m||_F^2 <= eps leaves a tail below eps relative to sigma0; under
+    stationarity A^m -> 0 and the loop ends.
     """
     if model.d != 1:
         raise BandedVarError(
@@ -216,28 +210,30 @@ def theoretical_autocov_var1(
         )
     if model.sigma_eps is None:
         raise ValueError("model has no innovation covariance")
-    if terms < 1:
-        raise ValueError("terms must be at least 1")
-    if j < 0:
-        raise ValueError("lag must be non-negative")
     if not is_stationary(model):
         raise NonStationaryError("model is not stationary; the series diverges")
     a = model.coeffs[0].to_dense()
-    sig = np.array(model.sigma_eps)
-    total = sig.copy()
-    apow = np.eye(model.p)
-    used = 0
-    for i in range(1, terms + 1):
-        apow = a @ apow
-        term = apow @ sig @ apow.T
-        total += term
-        used = i
-        if frobenius_norm(term) < _TAIL_TOL:
-            break
-    result = total @ np.linalg.matrix_power(a.T, j) if j > 0 else total
-    if return_info:
-        return result, used
-    return result
+    sigma0 = np.array(model.sigma_eps)
+    apow = a
+    while frobenius_norm(apow) ** 2 > np.finfo(float).eps:
+        sigma0 += apow @ sigma0 @ apow.T
+        apow = apow @ apow
+    return a, sigma0
+
+
+def theoretical_autocov_var1(model: BandedVarModel, j: int = 0) -> np.ndarray:
+    """Lag-j autocovariance cov(y_t, y_{t+j}) implied by a stationary
+    first-order model.
+
+    The variance is the full series sigma_eps + sum_i A^i sigma_eps (A^T)^i
+    (to machine precision, see :func:`_var1_variance`); lag j > 0
+    post-multiplies it by (A^T)^j, matching the orientation the lag-j sample
+    autocovariance estimates.
+    """
+    if j < 0:
+        raise ValueError("lag must be non-negative")
+    a, sigma0 = _var1_variance(model)
+    return sigma0 @ np.linalg.matrix_power(a.T, j) if j else sigma0
 
 
 def banded_approximation_gap(model: BandedVarModel, j: int, r: int):
@@ -245,31 +241,15 @@ def banded_approximation_gap(model: BandedVarModel, j: int, r: int):
     autocovariance, as ``(spectral gap, l1 gap)``.
 
     The truncation keeps sigma_eps plus the first r summands, so the gap is
-    the norm of the series tail; it shrinks geometrically for stationary
-    models with banded innovation covariance.
+    the norm of the series tail, exactly A^(r+1) sigma0 (A^(r+1))^T; it
+    shrinks geometrically for stationary models with banded innovation
+    covariance.
     """
-    if model.d != 1:
-        raise BandedVarError(
-            f"unsupported order d={model.d}: implied autocovariances are "
-            "available for first-order models only"
-        )
-    if model.sigma_eps is None:
-        raise ValueError("model has no innovation covariance")
     if r < 0:
         raise ValueError("truncation level must be non-negative")
-    if not is_stationary(model):
-        raise NonStationaryError("model is not stationary; the series diverges")
-    a = model.coeffs[0].to_dense()
-    sig = np.array(model.sigma_eps)
-    # Tail beyond r summands, accumulated until it stops changing.
-    apow = np.linalg.matrix_power(a, r)
-    tail = np.zeros_like(sig)
-    for _ in range(r + 1, 100000):
-        apow = a @ apow
-        term = apow @ sig @ apow.T
-        tail += term
-        if frobenius_norm(term) < _TAIL_TOL:
-            break
+    a, sigma0 = _var1_variance(model)
+    apow = np.linalg.matrix_power(a, r + 1)
+    tail = apow @ sigma0 @ apow.T
     if j > 0:
         tail = tail @ np.linalg.matrix_power(a.T, j)
     return spectral_norm(tail), l1_norm(tail)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandedvar import (
     BandedVarModel,
@@ -226,6 +228,20 @@ class TestFitBandedVar:
         assert np.array_equal(
             one.model.coeffs[0].to_dense(), four.model.coeffs[0].to_dense()
         )
+
+    @settings(max_examples=40)
+    @given(data=st.data(), p=st.integers(2, 12), d=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+    def test_reversed_ordering_mirrors_fit(self, data, p, d, seed):
+        # equation i of the reversed panel is equation p-1-i with its
+        # neighbours mirrored, so every lag's matrix flips on both axes
+        k = data.draw(st.integers(0, p - 1), label="k")
+        ts = TimeSeries(np.random.default_rng(seed).standard_normal((p, 4 * d * (2 * k + 1) + 20)))
+        fit = fit_banded_var(ts, k, d)
+        mirrored = fit_banded_var(ts.permuted(np.arange(p)[::-1]), k, d)
+        for a, b in zip(fit.model.coeffs, mirrored.model.coeffs):
+            dense = a.to_dense()
+            assert np.abs(b.to_dense() - dense[::-1, ::-1]).max() <= 1e-12 * np.abs(dense).max()
+        assert np.allclose(mirrored.rss, fit.rss[::-1], rtol=1e-12, atol=0.0)
 
     def test_residual_variance_ratio_near_one(self):
         # at or above the true bandwidth, rss/(n-d) estimates the unit

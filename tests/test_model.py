@@ -15,6 +15,7 @@ from bandedvar import (
     gen_coeff_uniform,
     gen_sigma_eps_structured,
     is_stationary,
+    l1_norm,
     spectral_norm,
     theoretical_autocov_var1,
 )
@@ -146,10 +147,29 @@ class TestTheoreticalAutocov:
         assert np.abs(sigma0 - sigma0.T).max() < 1e-10
         assert np.linalg.eigvalsh(sigma0).min() >= -1e-8
 
-    def test_truncation_reported(self):
-        model = scaled_identity_model(2, 0.5)
-        _, used = theoretical_autocov_var1(model, 0, return_info=True)
-        assert used >= 1
+    def test_near_unit_root_is_exact(self):
+        # a term-count cap on the series would stop far short here
+        model = scaled_identity_model(2, 0.9999)
+        exact = 1.0 / (1.0 - 0.9999**2)
+        sigma0 = theoretical_autocov_var1(model, 0)
+        assert np.allclose(sigma0, exact * np.eye(2), rtol=1e-10, atol=0.0)
+        assert np.allclose(theoretical_autocov_var1(model, 3), 0.9999**3 * sigma0, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("p", [8, 50])
+    @pytest.mark.parametrize("norm", [0.5, 0.9, 0.99])
+    def test_matches_lyapunov_solver(self, p, norm):
+        from scipy.linalg import solve_discrete_lyapunov
+
+        model = banded_model(
+            p, 2, substream(18, "coeffs", p), sigma=gen_sigma_eps_structured(p), target_norm=norm
+        )
+        a = model.coeffs[0].to_dense()
+        sigma0 = theoretical_autocov_var1(model, 0)
+        reference = solve_discrete_lyapunov(a, model.sigma_eps)
+        scale = np.abs(reference).max()
+        assert np.abs(sigma0 - reference).max() <= 1e-12 * scale
+        resid = sigma0 - a @ sigma0 @ a.T - model.sigma_eps
+        assert np.abs(resid).max() <= 1e-14 * scale
 
     def test_higher_lag_orientation(self):
         # cov(y_t, y_{t+2}) post-multiplies the variance by the transposed
@@ -175,6 +195,10 @@ class TestTheoreticalAutocov:
         two = BandedVarModel(2, 2, 0, [BandedMatrix.zeros(2, 0)] * 2, np.eye(2))
         with pytest.raises(BandedVarError, match="order"):
             theoretical_autocov_var1(two)
+        with pytest.raises(ValueError, match="innovation covariance"):
+            theoretical_autocov_var1(BandedVarModel(2, 1, 0, [BandedMatrix.zeros(2, 0)]))
+        with pytest.raises(ValueError, match="lag"):
+            theoretical_autocov_var1(scaled_identity_model(2, 0.5), -1)
 
 
 class TestBandedApproximationGap:
@@ -209,3 +233,33 @@ class TestBandedApproximationGap:
             l1.append(one)
         assert all(b <= a + 1e-12 for a, b in zip(spec, spec[1:]))
         assert all(b <= a + 1e-12 for a, b in zip(l1, l1[1:]))
+
+    def test_near_unit_root_tail_is_exact(self):
+        model = scaled_identity_model(2, 0.9999)
+        for r in (0, 5):
+            exact = 0.9999 ** (2 * (r + 1)) / (1.0 - 0.9999**2)
+            spec_gap, l1_gap = banded_approximation_gap(model, 0, r)
+            assert abs(spec_gap - exact) <= 1e-10 * exact
+            assert abs(l1_gap - exact) <= 1e-10 * exact
+
+    def test_tail_equals_variance_minus_truncation(self):
+        model = banded_model(10, 2, substream(19, "coeffs"), target_norm=0.7)
+        a = model.coeffs[0].to_dense()
+        sigma1 = theoretical_autocov_var1(model, 1)
+        truncation = sum(
+            np.linalg.matrix_power(a, i) @ model.sigma_eps @ np.linalg.matrix_power(a.T, i + 1)
+            for i in range(4)
+        )
+        tail = sigma1 - truncation
+        spec_gap, l1_gap = banded_approximation_gap(model, 1, 3)
+        assert np.isclose(spec_gap, spectral_norm(tail), rtol=1e-10, atol=0.0)
+        assert np.isclose(l1_gap, l1_norm(tail), rtol=1e-10, atol=0.0)
+
+    def test_errors_match_implied_autocov(self):
+        with pytest.raises(NonStationaryError):
+            banded_approximation_gap(scaled_identity_model(2, 1.2), 0, 1)
+        two = BandedVarModel(2, 2, 0, [BandedMatrix.zeros(2, 0)] * 2, np.eye(2))
+        with pytest.raises(BandedVarError, match="order"):
+            banded_approximation_gap(two, 0, 1)
+        with pytest.raises(ValueError, match="truncation"):
+            banded_approximation_gap(scaled_identity_model(2, 0.5), 0, -1)

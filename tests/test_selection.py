@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandedvar import (
     BandedMatrix,
@@ -185,6 +187,26 @@ class TestRssSurface:
             ]
         )
         assert np.abs(surface.rss / direct - 1.0).max() < 1e-6
+
+    @settings(max_examples=40)
+    @given(data=st.data(), p=st.integers(2, 12), d=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+    def test_reversed_ordering_reverses_rows(self, data, p, d, seed):
+        K = data.draw(st.integers(1, p - 1), label="K")
+        ts = TimeSeries(np.random.default_rng(seed).standard_normal((p, 4 * d * (2 * K + 1) + 20)))
+        surface = rss_surface(ts, d=d, K=K, include_zero=True)
+        mirrored = rss_surface(ts.permuted(np.arange(p)[::-1]), d=d, K=K, include_zero=True)
+        assert np.array_equal(mirrored.counts, surface.counts[::-1])
+        assert np.allclose(mirrored.rss, surface.rss[::-1], rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=40)
+    @given(data=st.data(), p=st.integers(2, 12), d=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+    def test_worker_count_does_not_change_trace(self, data, p, d, seed):
+        K = data.draw(st.integers(1, p - 1), label="K")
+        ts = TimeSeries(np.random.default_rng(seed).standard_normal((p, 4 * d * (2 * K + 1) + 20)))
+        one = select_bandwidth(ts, d=d, K=K, threads=1)
+        three = select_bandwidth(ts, d=d, K=K, threads=3)
+        assert np.array_equal(one.bic, three.bic)
+        assert one.to_dict() == three.to_dict()
 
     def test_identical_series_error_names_row_and_series(self):
         # series 3 duplicates series 1, so row 0's design at K=3 is singular
