@@ -24,11 +24,7 @@ from .errors import (
 )
 from .estimation import (
     FitReport,
-    RowDesign,
-    build_row_design,
     fit_banded_var,
-    fit_row,
-    row_coefficients,
     row_regressor_count,
 )
 from .forecast import (
@@ -44,7 +40,6 @@ from .linalg import (
     frobenius_norm,
     l1_norm,
     linf_norm,
-    lstsq,
     spectral_norm,
     spectral_radius,
 )

@@ -296,8 +296,9 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
-        p.add_argument("--threads", type=int, default=1, help="worker thread cap")
+    def common(p, seed=False, threads=True):
+        if threads:
+            p.add_argument("--threads", type=int, default=1, help="worker thread cap")
         p.add_argument("--out", default=None, help="output path prefix")
         if seed:
             p.add_argument("--seed", type=int, default=0, help="master seed")
@@ -310,7 +311,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma-eps", choices=("identity", "structured"), default="identity")
     p.add_argument("--target-norm", type=float, default=None)
     p.add_argument("--burn-in", type=int, default=500)
-    common(p)
+    common(p, seed=True, threads=False)
     p.set_defaults(func=cmd_simulate, out_default="sim")
 
     p = sub.add_parser("fit", help="row-wise least squares at a fixed bandwidth")
@@ -318,7 +319,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--demean", action=argparse.BooleanOptionalAction, default=True)
-    common(p, seed=False)
+    common(p)
     p.set_defaults(func=cmd_fit, out_default="fit")
 
     p = sub.add_parser("select", help="bandwidth (and order) selection")
@@ -327,14 +328,16 @@ def build_parser() -> _Parser:
     p.add_argument("--K", type=int, default=None)
     p.add_argument("--Cn", dest="cn", type=_cn_value, default=None,
                    help="'loglog' (default) or a numeric constant")
-    p.add_argument("--L", type=int, default=None,
-                   help="scan orders 1..L jointly with the bandwidth")
-    p.add_argument("--joint", action="store_true",
-                   help="whole-model criterion instead of per-equation")
+    # each of these picks a different criterion, so at most one applies
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--L", type=int, default=None,
+                      help="scan orders 1..L jointly with the bandwidth")
+    mode.add_argument("--joint", action="store_true",
+                      help="whole-model criterion instead of per-equation")
+    mode.add_argument("--penalty-multiplier", type=float, default=1.0)
     p.add_argument("--include-zero", action="store_true")
-    p.add_argument("--penalty-multiplier", type=float, default=1.0)
     p.add_argument("--demean", action=argparse.BooleanOptionalAction, default=False)
-    common(p, seed=False)
+    common(p)
     p.set_defaults(func=cmd_select, out_default="select")
 
     p = sub.add_parser("autocov", help="sample / banded / thresholded autocovariance")
@@ -344,7 +347,7 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=int, default=None, help="fixed banding half-width")
     p.add_argument("--t", type=float, default=None, help="fixed threshold")
     p.add_argument("--q", type=int, default=100, help="bootstrap replicates")
-    common(p)
+    common(p, seed=True, threads=False)
     p.set_defaults(func=cmd_autocov, out_default="autocov")
 
     p = sub.add_parser("forecast", help="multi-step prediction / post-sample scoring")
@@ -361,7 +364,7 @@ def build_parser() -> _Parser:
     p.add_argument("--period", type=int, default=None, help="seasonal cycle length")
     p.add_argument("--include-zero", action="store_true")
     p.add_argument("--demean", action=argparse.BooleanOptionalAction, default=True)
-    common(p, seed=False)
+    common(p)
     p.set_defaults(func=cmd_forecast, out_default="forecast")
 
     p = sub.add_parser("order", help="compare series orderings by total criterion")
@@ -373,7 +376,7 @@ def build_parser() -> _Parser:
     p.add_argument("--Cn", dest="cn", type=_cn_value, default=None)
     p.add_argument("--include-zero", action="store_true")
     p.add_argument("--demean", action=argparse.BooleanOptionalAction, default=True)
-    common(p, seed=False)
+    common(p)
     p.set_defaults(func=cmd_order, out_default="order")
 
     p = sub.add_parser("bench", help="rerun a benchmark table at chosen scale")
@@ -384,7 +387,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--K", type=int, default=15)
     p.add_argument("--q", type=int, default=100)
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_bench, out_default="bench")
 
     return parser

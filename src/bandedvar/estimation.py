@@ -16,18 +16,14 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs as _dtrtrs
 
 from .errors import SingularDesignError
-from .linalg import RANK_TOL, BandedMatrix, lstsq
+from .linalg import BandedMatrix
 from .model import BandedVarModel, TimeSeries
 
 __all__ = [
-    "RowDesign",
     "FitReport",
     "row_regressor_count",
     "band_columns",
-    "build_row_design",
-    "fit_row",
     "fit_banded_var",
-    "row_coefficients",
 ]
 
 
@@ -50,57 +46,6 @@ def band_columns(i: int, k: int, d: int, p: int):
     """(lag, series) pairs backing each design column, lag-major then series ascending."""
     lo, hi = max(0, i - k), min(p - 1, i + k)
     return [(lag, j) for lag in range(1, d + 1) for j in range(lo, hi + 1)]
-
-
-@dataclass(frozen=True)
-class RowDesign:
-    """Design matrix and response for one equation at trial (k, d)."""
-
-    i: int
-    k: int
-    d: int
-    x: np.ndarray
-    y: np.ndarray
-    col_map: tuple  # (lag, series) per design column
-
-    @property
-    def n_obs(self) -> int:
-        return self.y.shape[0]
-
-
-def build_row_design(ts: TimeSeries, i: int, k: int, d: int) -> RowDesign:
-    """Assemble the regression for equation i at trial bandwidth k and order d.
-
-    The response stacks y_{i,t} for t = d..n-1; design row t holds, for each
-    lag 1..d, the lag-shifted values of the series within bandwidth k of i.
-    """
-    p, n = ts.p, ts.n
-    count = row_regressor_count(i, k, d, p)
-    if n <= d + count:
-        raise ValueError(
-            f"series too short for row {i} at (k={k}, d={d}): "
-            f"need n > {d + count}, have n = {n}"
-        )
-    vals = ts.values
-    lo, hi = max(0, i - k), min(p - 1, i + k)
-    y = vals[i, d:].copy()
-    blocks = [vals[lo : hi + 1, d - lag : n - lag].T for lag in range(1, d + 1)]
-    x = np.hstack(blocks)
-    return RowDesign(i=i, k=k, d=d, x=x, y=y, col_map=tuple(band_columns(i, k, d, p)))
-
-
-def fit_row(design: RowDesign):
-    """Least-squares fit of one equation; returns (coefficients, residual sum of squares)."""
-    try:
-        beta = lstsq(design.x, design.y)
-    except SingularDesignError as exc:
-        lag, j = design.col_map[exc.column] if exc.column is not None and exc.column < len(design.col_map) else (None, None)
-        detail = f" (lag {lag}, series {j})" if lag is not None else ""
-        raise SingularDesignError(
-            f"row {design.i}: {exc}{detail}", column=exc.column, row=design.i
-        ) from None
-    resid = design.y - design.x @ beta
-    return beta, float(resid @ resid)
 
 
 @dataclass
@@ -202,6 +147,10 @@ def _ring_series(i: int, k: int, p: int) -> np.ndarray:
     )
 
 
+# Relative pivot threshold below which a design is declared rank deficient.
+RANK_TOL = 1e-12
+
+
 def _row_qr(values: np.ndarray, i: int, k: int, d: int) -> np.ndarray:
     """R factor of equation i's design in ring order with the response appended.
 
@@ -242,8 +191,3 @@ def _row_qr(values: np.ndarray, i: int, k: int, d: int) -> np.ndarray:
         )
     return r
 
-
-def row_coefficients(model: BandedVarModel, i: int) -> np.ndarray:
-    """Extract equation i's in-band coefficients, lag-major, series ascending."""
-    cols = band_columns(i, model.k0, model.d, model.p)
-    return np.array([model.coeffs[lag - 1][i, j] for lag, j in cols])

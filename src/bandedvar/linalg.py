@@ -10,26 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import eigvalsh as _eigvalsh
-from scipy.linalg import qr as _qr
-from scipy.linalg import solve_triangular as _solve_triangular
 from scipy.linalg.blas import dgbmv as _dgbmv
 
-from .errors import ConvergenceError, SingularDesignError
+from .errors import ConvergenceError
 
 __all__ = [
     "BandedMatrix",
     "band_product",
-    "lstsq",
     "l1_norm",
     "linf_norm",
     "frobenius_norm",
     "spectral_norm",
     "spectral_radius",
-    "RANK_TOL",
 ]
-
-# Relative pivot threshold below which a design is declared rank deficient.
-RANK_TOL = 1e-12
 
 
 class BandedMatrix:
@@ -179,44 +172,6 @@ def band_product(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
                 * db[lo + u + min(0, w) : hi + u + min(0, w)]
             )
     return BandedMatrix(p, kc, out)
-
-
-def lstsq(x, y) -> np.ndarray:
-    """Solve ``min ||y - x beta||_2`` through a Householder QR factorisation.
-
-    Raises
-    ------
-    SingularDesignError
-        If any pivot of R falls below ``RANK_TOL`` times the largest pivot;
-        the error names the first offending column.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("design must be 2-D")
-    if y.ndim != 1 or y.shape[0] != x.shape[0]:
-        raise ValueError(f"response length {y.shape} does not match {x.shape[0]} rows")
-    if x.shape[1] == 0:
-        raise ValueError("design has no columns")
-    if x.shape[0] < x.shape[1]:
-        raise SingularDesignError(
-            f"underdetermined design: {x.shape[0]} rows < {x.shape[1]} columns",
-            column=x.shape[0],
-        )
-    q, r = _qr(x, mode="economic", check_finite=False)
-    piv = np.abs(np.diagonal(r))
-    largest = piv.max()
-    if largest == 0.0:
-        raise SingularDesignError("design is identically zero", column=0)
-    bad = np.nonzero(piv < RANK_TOL * largest)[0]
-    if bad.size:
-        c = int(bad[0])
-        raise SingularDesignError(
-            f"rank-deficient design: pivot {piv[c]:.3e} at column {c} "
-            f"below {RANK_TOL:g} x largest pivot {largest:.3e}",
-            column=c,
-        )
-    return _solve_triangular(r, q.T @ y, lower=False, check_finite=False)
 
 
 def l1_norm(m) -> float:

@@ -245,6 +245,8 @@ def banded_approximation_gap(model: BandedVarModel, j: int, r: int):
     shrinks geometrically for stationary models with banded innovation
     covariance.
     """
+    if j < 0:
+        raise ValueError("lag must be non-negative")
     if r < 0:
         raise ValueError("truncation level must be non-negative")
     a, sigma0 = _var1_variance(model)

@@ -105,22 +105,28 @@ def rss_surface(
     )
 
 
-def _bic_matrix(surface: RssSurface, cn: float, leading_d: bool, penalty_multiplier: float):
-    bad = np.nonzero(surface.rss.min(axis=1) <= 0.0)[0]
+def _require_positive_rss(row_min, rows=None) -> None:
+    """Raise if an equation's smallest RSS is zero: its log, and so the
+    criterion, is undefined. ``rows`` names the entries (default 0, 1, ...)."""
+    bad = np.nonzero(np.asarray(row_min) <= 0.0)[0]
     if bad.size:
+        row = int(bad[0]) if rows is None else rows[int(bad[0])]
         raise BandedVarError(
-            f"row {int(bad[0])} has zero residual sum of squares; the "
+            f"row {row} has zero residual sum of squares; the "
             "criterion is undefined (exact fit or degenerate data)"
         )
+
+
+def _penalty(weight, count, n: int, p: int, cn: float):
+    """Penalty ``weight / n * count * cn * log(max(p, n))``, evaluated in that
+    order; ``count`` may be an array of regressor counts."""
+    return weight / n * count * cn * math.log(max(p, n))
+
+
+def _bic_matrix(surface: RssSurface, cn: float, leading_d: bool, penalty_multiplier: float):
+    _require_positive_rss(surface.rss.min(axis=1))
     lead = surface.d if leading_d else 1
-    pen = (
-        penalty_multiplier
-        * lead
-        / surface.n
-        * surface.counts
-        * cn
-        * math.log(max(surface.p, surface.n))
-    )
+    pen = _penalty(penalty_multiplier * lead, surface.counts, surface.n, surface.p, cn)
     return np.log(surface.rss) + pen
 
 
@@ -220,14 +226,9 @@ def marginal_bic(
         cn = default_penalty_const(ts.n)
     r = _row_qr(ts.values, i, k, d)
     rss = float(r[-1, -1] ** 2)
-    if rss <= 0.0:
-        raise BandedVarError(
-            f"row {i} has zero residual sum of squares; the criterion is "
-            "undefined (exact fit or degenerate data)"
-        )
+    _require_positive_rss([rss], rows=[i])
     count = row_regressor_count(i, k, d, ts.p)
-    pen = penalty_multiplier * d / ts.n * count * cn * math.log(max(ts.p, ts.n))
-    return math.log(rss) + pen
+    return math.log(rss) + _penalty(penalty_multiplier * d, count, ts.n, ts.p, cn)
 
 
 def select_bandwidth_and_order(
@@ -264,14 +265,11 @@ def select_bandwidth_and_order(
         ],
         axis=2,
     )  # p x len(ks) x L
-    ks_arr = np.array(ks)
-    k_pick = np.empty(p, dtype=int)
-    d_pick = np.empty(p, dtype=int)
-    for i in range(p):
-        flat = np.argmin(bic[i].T)  # order-major scan: ties go to smaller (d, k)
-        d_idx, k_idx = divmod(int(flat), len(ks))
-        k_pick[i] = ks_arr[k_idx]
-        d_pick[i] = d_idx + 1
+    # order-major scan of each row: ties go to the smaller (d, k)
+    flat = np.argmin(bic.transpose(0, 2, 1).reshape(p, -1), axis=1)
+    d_idx, k_idx = np.divmod(flat, len(ks))
+    k_pick = np.array(ks)[k_idx]
+    d_pick = d_idx + 1
     return SelectionTrace(
         ks=ks,
         bic=bic,
@@ -294,23 +292,10 @@ def joint_bic_from_surface(surface: RssSurface, cn: float | None = None):
     """Whole-model criterion curve over the bandwidth grid; returns (choice, curve)."""
     if cn is None:
         cn = default_penalty_const(surface.n)
-    bad = np.nonzero(surface.rss.min(axis=1) <= 0.0)[0]
-    if bad.size:
-        raise BandedVarError(
-            f"row {int(bad[0])} has zero residual sum of squares; the "
-            "criterion is undefined (exact fit or degenerate data)"
-        )
+    _require_positive_rss(surface.rss.min(axis=1))
     logterm = np.log(surface.rss).sum(axis=0)
-    pens = np.array(
-        [
-            abs(joint_parameter_count(k, surface.p))
-            / surface.n
-            * cn
-            * math.log(max(surface.p, surface.n))
-            for k in surface.ks
-        ]
-    )
-    curve = logterm + pens
+    counts = np.abs([joint_parameter_count(k, surface.p) for k in surface.ks])
+    curve = logterm + _penalty(counts, 1, surface.n, surface.p, cn)
     choice = int(np.array(surface.ks)[int(np.argmin(curve))])
     return choice, curve
 

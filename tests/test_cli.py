@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bandedvar import DataFormatError, TimeSeries, predict
-from bandedvar.cli import main
+from bandedvar.cli import build_parser, main
 from bandedvar.io import (
     load_model_json,
     read_timeseries_csv,
@@ -147,6 +147,22 @@ class TestSelectCommand:
         assert code == 0
         assert "k_tilde" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (("--joint",), ("--L", 3)),
+            (("--joint",), ("--penalty-multiplier", 2.0)),
+            (("--L", 2), ("--penalty-multiplier", 1.0)),
+        ],
+    )
+    def test_criterion_options_are_exclusive(self, tmp_path, capsys, first, second):
+        # each option picks the criterion its own way; a second one would be ignored
+        code = run("select", "--data", tmp_path / "x.csv", *first, *second,
+                   "--out", tmp_path / "sel")
+        assert code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_csv_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1.0,2.0\n3.0\n")
@@ -225,3 +241,24 @@ class TestBenchCommand:
 
     def test_unknown_table_rejected(self, tmp_path):
         assert run("bench", "--table", "t9", "--out", tmp_path / "x") == 1
+
+
+class TestCommonOptions:
+    # (takes --seed, takes --threads): a command takes an option only if it uses it
+    OPTIONS = {
+        "simulate": (True, False),
+        "fit": (False, True),
+        "select": (False, True),
+        "autocov": (True, False),
+        "forecast": (False, True),
+        "order": (False, True),
+        "bench": (True, True),
+    }
+
+    def test_each_command_takes_only_the_options_it_uses(self):
+        parser = build_parser()
+        commands = parser._subparsers._group_actions[0].choices
+        assert set(commands) == set(self.OPTIONS)
+        for name, (seed, threads) in self.OPTIONS.items():
+            flags = commands[name]._option_string_actions
+            assert ("--seed" in flags, "--threads" in flags) == (seed, threads), name

@@ -1,4 +1,4 @@
-"""Row designs, row fits, whole-model assembly."""
+"""Regressor counts, band columns, whole-model fits."""
 
 import numpy as np
 import pytest
@@ -9,34 +9,13 @@ from bandedvar import (
     BandedVarModel,
     SingularDesignError,
     TimeSeries,
-    build_row_design,
     fit_banded_var,
-    fit_row,
     gen_coeff_uniform,
-    row_coefficients,
     row_regressor_count,
     simulate_var,
 )
-from bandedvar.estimation import RowDesign, band_columns
+from bandedvar.estimation import band_columns
 from bandedvar.rng import substream
-
-
-def constrained_oracle(ts, i, k, d):
-    """Full-width regression with out-of-band coefficients pinned to zero,
-    solved by normal equations on the support columns."""
-    p, n = ts.p, ts.n
-    full = np.hstack(
-        [ts.values[:, d - lag : n - lag].T for lag in range(1, d + 1)]
-    )  # (n-d) x (d p), lag-major then series
-    support = [
-        (lag - 1) * p + j
-        for lag in range(1, d + 1)
-        for j in range(p)
-        if abs(i - j) <= k
-    ]
-    x = full[:, support]
-    y = ts.values[i, d:]
-    return np.linalg.solve(x.T @ x, x.T @ y)
 
 
 def simulated(p, k0, n, seed, d=1):
@@ -65,80 +44,6 @@ class TestRegressorCount:
             row_regressor_count(0, 10, 1, 10)
         with pytest.raises(ValueError):
             row_regressor_count(0, 1, 0, 10)
-
-
-class TestBuildRowDesign:
-    def test_scalar_autoregression(self):
-        ts = TimeSeries(np.arange(1.0, 7.0)[None, :])
-        design = build_row_design(ts, 0, 0, 1)
-        assert design.col_map == ((1, 0),)
-        assert np.array_equal(design.y, np.arange(2.0, 7.0))
-        assert np.array_equal(design.x[:, 0], np.arange(1.0, 6.0))
-
-    def test_three_series_middle_row(self):
-        rng = substream(0, "x")
-        ts = TimeSeries(rng.standard_normal((3, 12)))
-        design = build_row_design(ts, 1, 1, 1)
-        assert design.col_map == ((1, 0), (1, 1), (1, 2))
-        assert design.x.shape == (11, 3)
-        assert np.array_equal(design.x[:, 0], ts.values[0, :-1])
-        assert np.array_equal(design.x[:, 2], ts.values[2, :-1])
-
-    def test_two_lags_boundary_row(self):
-        rng = substream(1, "x")
-        ts = TimeSeries(rng.standard_normal((3, 15)))
-        design = build_row_design(ts, 0, 1, 2)
-        assert design.col_map == ((1, 0), (1, 1), (2, 0), (2, 1))
-        assert design.x.shape == (13, 4)
-        # lag-1 block shifts by one, lag-2 block by two
-        assert np.array_equal(design.x[:, 0], ts.values[0, 1:-1])
-        assert np.array_equal(design.x[:, 3], ts.values[1, :-2])
-        assert np.array_equal(design.y, ts.values[0, 2:])
-
-    def test_insufficient_length(self):
-        ts = TimeSeries(np.zeros((3, 4)))
-        with pytest.raises(ValueError, match="need n >"):
-            build_row_design(ts, 1, 1, 1)
-
-
-class TestFitRow:
-    def test_exact_interpolation(self):
-        rng = substream(2, "x")
-        x = rng.standard_normal((20, 3))
-        beta_true = np.array([0.5, -1.0, 2.0])
-        y = x @ beta_true
-        design = RowDesign(i=0, k=1, d=1, x=x, y=y, col_map=((1, 0), (1, 1), (1, 2)))
-        beta, rss = fit_row(design)
-        assert np.allclose(beta, beta_true, atol=1e-8)
-        assert rss <= 1e-12 * (y @ y)
-
-    def test_orthogonal_response(self):
-        x = np.ones((4, 1))
-        y = np.array([1.0, -1.0, 1.0, -1.0])
-        design = RowDesign(i=0, k=0, d=1, x=x, y=y, col_map=((1, 0),))
-        beta, rss = fit_row(design)
-        assert np.allclose(beta, [0.0], atol=1e-14)
-        assert np.isclose(rss, y @ y)
-
-    def test_matches_constrained_oracle(self):
-        for seed in range(5):
-            p = 4 + seed
-            model, ts = simulated(p, 1, 50, seed)
-            for i in (0, p // 2, p - 1):
-                design = build_row_design(ts, i, 1, 1)
-                beta, _ = fit_row(design)
-                oracle = constrained_oracle(ts, i, 1, 1)
-                assert np.abs(beta - oracle).max() < 1e-8
-
-    def test_singular_design_names_row(self):
-        x = np.ones((6, 2))
-        design = RowDesign(
-            i=3, k=1, d=1, x=x, y=np.arange(6.0), col_map=((1, 2), (1, 3))
-        )
-        with pytest.raises(SingularDesignError) as err:
-            fit_row(design)
-        assert err.value.row == 3
-        assert "lag 1" in str(err.value)
 
 
 class TestFitBandedVar:
@@ -175,28 +80,33 @@ class TestFitBandedVar:
 
     def test_nested_rss_monotone(self):
         _, ts = simulated(8, 1, 100, 6)
-        for i in range(8):
-            rss = []
-            for k in range(0, 4):
-                _, r = fit_row(build_row_design(ts, i, k, 1))
-                rss.append(r)
-            for wide, narrow in zip(rss[1:], rss[:-1]):
-                assert wide <= narrow + 1e-8
+        rss = [fit_banded_var(ts, k, 1).rss for k in range(0, 4)]
+        for wide, narrow in zip(rss[1:], rss[:-1]):
+            assert np.all(wide <= narrow + 1e-8)
 
     def test_scatter_gather_round_trip(self):
         _, ts = simulated(7, 2, 90, 7)
         report = fit_banded_var(ts, 2, 1)
+        model = report.model
         for i in range(7):
-            assert np.array_equal(row_coefficients(report.model, i), report.betas[i])
+            cols = band_columns(i, model.k0, model.d, model.p)
+            read_back = [model.coeffs[lag - 1][i, j] for lag, j in cols]
+            assert np.array_equal(read_back, report.betas[i])
 
     def test_projection_form_rss(self):
         _, ts = simulated(5, 1, 60, 8)
-        design = build_row_design(ts, 2, 1, 1)
-        _, rss = fit_row(design)
-        x, y = design.x, design.y
+        rss = fit_banded_var(ts, 1, 1).rss[2]
+        x = np.column_stack([ts.values[j, : ts.n - 1] for _, j in band_columns(2, 1, 1, 5)])
+        y = ts.values[2, 1:]
         hat = x @ np.linalg.inv(x.T @ x) @ x.T
         projection_form = y @ (np.eye(len(y)) - hat) @ y
         assert abs(rss - projection_form) <= 1e-8 * max(1.0, projection_form)
+
+    def test_series_too_short_names_row(self):
+        # row 0 has 2 regressors and fits; interior row 1 needs one more observation
+        ts = TimeSeries(substream(13, "x").standard_normal((3, 4)))
+        with pytest.raises(ValueError, match=r"row 1 at \(k=1, d=1\): need n > 4, have n = 4"):
+            fit_banded_var(ts, 1, 1)
 
     def test_demean_matches_manual_centering(self):
         _, ts = simulated(5, 1, 80, 9)

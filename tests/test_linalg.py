@@ -1,4 +1,4 @@
-"""Band storage, products, least squares and norms."""
+"""Band storage, products and norms."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,10 @@ from scipy.linalg import svdvals
 
 from bandedvar import (
     BandedMatrix,
-    SingularDesignError,
     band_product,
     frobenius_norm,
     l1_norm,
     linf_norm,
-    lstsq,
     spectral_norm,
     spectral_radius,
 )
@@ -122,41 +120,6 @@ class TestBandProduct:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             band_product(BandedMatrix.identity(3), BandedMatrix.identity(4))
-
-
-class TestLstsq:
-    def test_identity_design(self):
-        beta = lstsq(np.eye(3), np.array([1.0, 2.0, 3.0]))
-        assert np.allclose(beta, [1.0, 2.0, 3.0], atol=1e-12)
-
-    def test_column_of_ones_gives_mean(self):
-        beta = lstsq(np.ones((4, 1)), np.array([1.0, 2.0, 3.0, 4.0]))
-        assert np.allclose(beta, [2.5], atol=1e-12)
-
-    def test_matches_normal_equations(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(20, 3))
-        y = rng.normal(size=20)
-        beta = lstsq(x, y)
-        oracle = np.linalg.inv(x.T @ x) @ x.T @ y
-        assert np.allclose(beta, oracle, atol=1e-10)
-
-    def test_rank_deficiency_names_column(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(10, 3))
-        x[:, 2] = x[:, 0]  # exact duplicate
-        with pytest.raises(SingularDesignError) as err:
-            lstsq(x, rng.normal(size=10))
-        assert err.value.column == 2
-
-    def test_residual_orthogonality(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            x = rng.normal(size=(30, 4))
-            y = rng.normal(size=30)
-            beta = lstsq(x, y)
-            resid = y - x @ beta
-            assert np.abs(x.T @ resid).max() <= 1e-8 * np.sqrt(y @ y)
 
 
 class TestNorms:

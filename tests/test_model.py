@@ -263,3 +263,9 @@ class TestBandedApproximationGap:
             banded_approximation_gap(two, 0, 1)
         with pytest.raises(ValueError, match="truncation"):
             banded_approximation_gap(scaled_identity_model(2, 0.5), 0, -1)
+
+    def test_negative_lag_rejected(self):
+        # the lag-0 gap must not stand in for a lag that does not exist
+        model = banded_model(6, 1, substream(20, "coeffs"), target_norm=0.6)
+        with pytest.raises(ValueError, match="lag must be non-negative"):
+            banded_approximation_gap(model, -1, 2)

@@ -12,8 +12,6 @@ from bandedvar import (
     BandedVarModel,
     SingularDesignError,
     TimeSeries,
-    build_row_design,
-    fit_row,
     gen_coeff_uniform,
     joint_bic_select,
     marginal_bic,
@@ -40,6 +38,17 @@ def simulated(p, k0, n, seed, target_norm=None):
     return model, simulate_var(model, n, rng=substream(seed, "innovations"))
 
 
+def direct_fit(ts, i, k, d):
+    """(beta, RSS) of equation i at (k, d) by numpy's SVD least squares on
+    the band support, independent of the library's QR kernel."""
+    n = ts.n
+    x = np.column_stack([ts.values[j, d - lag : n - lag] for lag, j in band_columns(i, k, d, ts.p)])
+    y = ts.values[i, d:]
+    beta = np.linalg.lstsq(x, y, rcond=None)[0]
+    resid = y - x @ beta
+    return beta, float(resid @ resid)
+
+
 def flat_surface(p, K, value=1.0, d=1):
     ks = tuple(range(1, K + 1))
     from bandedvar import row_regressor_count
@@ -58,7 +67,7 @@ class TestMarginalBic:
         ts = TimeSeries(substream(0, "wn").standard_normal((p, n)))
         i, k = 50, 2
         value = marginal_bic(ts, i, k)
-        _, rss = fit_row(build_row_design(ts, i, k, 1))
+        _, rss = direct_fit(ts, i, k, 1)
         expected_penalty = (
             (1.0 / n) * 1 * 5 * math.log(math.log(n)) * math.log(max(p, n))
         )
@@ -182,11 +191,17 @@ class TestRssSurface:
         surface = rss_surface(shifted, d=d, K=4, include_zero=True)
         direct = np.array(
             [
-                [fit_row(build_row_design(shifted, i, k, d))[1] for k in surface.ks]
+                [direct_fit(shifted, i, k, d)[1] for k in surface.ks]
                 for i in range(30)
             ]
         )
         assert np.abs(surface.rss / direct - 1.0).max() < 1e-6
+
+    def test_series_too_short_names_row(self):
+        # row 0 has 2 regressors at K=1 and fits; interior row 1 needs n > 4
+        ts = TimeSeries(substream(13, "x").standard_normal((3, 4)))
+        with pytest.raises(ValueError, match=r"row 1 at \(k=1, d=1\): need n > 4, have n = 4"):
+            rss_surface(ts, d=1, K=1)
 
     @settings(max_examples=40)
     @given(data=st.data(), p=st.integers(2, 12), d=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
