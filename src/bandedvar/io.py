@@ -69,7 +69,9 @@ def read_timeseries_csv(path) -> TimeSeries:
                     line=lineno,
                 )
             try:
-                rows.append([float(v) for v in row])
+                # parse straight into an array: a list of Python floats per
+                # row made a large read's peak memory vary from run to run
+                rows.append(np.fromiter(map(float, row), dtype=float, count=width))
             except ValueError as exc:
                 raise DataFormatError(
                     f"{path}: line {lineno}: {exc}", line=lineno
@@ -77,7 +79,7 @@ def read_timeseries_csv(path) -> TimeSeries:
             linenos.append(lineno)
     if not rows:
         raise DataFormatError(f"{path}: no data rows", line=1)
-    values = np.array(rows, dtype=float)
+    values = np.vstack(rows)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         t, j = bad[0]
