@@ -116,8 +116,7 @@ class BootstrapRisk:
         }
 
 
-def _bootstrap_select(ts, j, grid, q, rng, weights, method) -> BootstrapRisk:
-    sample = sample_autocov(ts, j)
+def _bootstrap_select(ts, j, sample, grid, q, rng, weights, method) -> BootstrapRisk:
     banding = method == "band"
     if grid is None:
         grid = default_band_grid(ts.n, ts.p) if banding else default_threshold_grid(sample)
@@ -192,14 +191,14 @@ def bootstrap_select_band(
     ``(rng, size) -> array`` callable drawing unit-mean, unit-variance
     weights. Ties on the risk curve go to the first grid position.
     """
-    return _bootstrap_select(ts, j, grid, q, rng, weights, "band")
+    return _bootstrap_select(ts, j, sample_autocov(ts, j), grid, q, rng, weights, "band")
 
 
 def bootstrap_select_threshold(
     ts: TimeSeries, j: int = 0, grid=None, q: int = 100, rng=None, weights=None
 ) -> BootstrapRisk:
     """Pick the hard-threshold cutoff minimising the bootstrap L1 risk."""
-    return _bootstrap_select(ts, j, grid, q, rng, weights, "threshold")
+    return _bootstrap_select(ts, j, sample_autocov(ts, j), grid, q, rng, weights, "threshold")
 
 
 @dataclass
@@ -238,8 +237,8 @@ def estimate_autocov(
     banding = method == "banded"
     key, value = ("r", r) if banding else ("t", t)
     if value is None:
-        select = bootstrap_select_band if banding else bootstrap_select_threshold
-        value = select(ts, j, q=q, rng=rng).argmin
+        kind = "band" if banding else "threshold"
+        value = _bootstrap_select(ts, j, sample, None, q, rng, None, kind).argmin
         tuning = {key: value, "selected_by": "bootstrap", "q": q}
     else:
         value = int(value) if banding else float(value)

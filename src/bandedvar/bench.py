@@ -11,17 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autocov import (
-    band,
-    bootstrap_select_band,
-    bootstrap_select_threshold,
-    hard_threshold,
-    sample_autocov,
-)
+from .autocov import _bootstrap_select, band, hard_threshold, sample_autocov
 from .estimation import _parallel_map, fit_banded_var
 from .forecast import predict
 from .linalg import l1_norm, spectral_norm
-from .model import BandedVarModel, theoretical_autocov_var1
+from .model import BandedVarModel, _var1_variance
 from .rng import substream
 from .selection import (
     joint_bic_from_surface,
@@ -193,16 +187,17 @@ def autocov_error_cell(
         model, ts = _draw_and_simulate(
             "uniform", p, k0, n, seed, rep, sigma=sigma, target_norm=target_norm
         )
+        a, sigma0 = _var1_variance(model)
         out = {}
         for j in lags:
-            truth = theoretical_autocov_var1(model, j)
+            truth = sigma0 @ np.linalg.matrix_power(a.T, j) if j else sigma0
             sample = sample_autocov(ts, j)
-            pick_r = bootstrap_select_band(
-                ts, j, q=q, rng=substream(seed, "bootstrap", rep, j, "band")
-            ).argmin
-            pick_t = bootstrap_select_threshold(
-                ts, j, q=q, rng=substream(seed, "bootstrap", rep, j, "threshold")
-            ).argmin
+            pick_r, pick_t = (
+                _bootstrap_select(
+                    ts, j, sample, None, q, substream(seed, "bootstrap", rep, j, kind), None, kind
+                ).argmin
+                for kind in ("band", "threshold")
+            )
             banded = band(sample, int(pick_r))
             thresh = hard_threshold(sample, float(pick_t))
             out[j] = {

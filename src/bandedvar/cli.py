@@ -16,13 +16,7 @@ import sys
 from . import __version__
 from .autocov import estimate_autocov
 from .bench import BENCH_TABLES
-from .errors import (
-    BandedVarError,
-    ConvergenceError,
-    DataFormatError,
-    NonStationaryError,
-    SingularDesignError,
-)
+from .errors import BandedVarError, DataFormatError
 from .estimation import fit_banded_var
 from .forecast import FitSpec, _fit_window, predict, rolling_evaluation
 from .io import (
@@ -127,6 +121,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_select(args) -> int:
+    if args.L is not None and args.d != 1:
+        raise ValueError("select: --d cannot be combined with --L, which scans orders 1..L")
     ts = read_timeseries_csv(args.data)
     if args.demean:
         ts = ts.demeaned()[0]
@@ -237,7 +233,7 @@ def cmd_forecast(args) -> int:
             print(f"{h}-step {args.metric} error: {mean:.6g} ({sd:.6g})")
     else:
         if model is None:
-            model, _, means, _ = _fit_window(ts, spec, args.threads)
+            model, _, means = _fit_window(ts, spec, args.threads)
         preds = predict(model, ts, h=args.h, mean=means)
         pred_path = f"{args.out}.predictions.csv"
         write_matrix_csv(pred_path, preds.T, labels=ts.labels)
@@ -403,15 +399,9 @@ def main(argv=None) -> int:
         args.out = args.out_default
     try:
         return args.func(args)
-    except DataFormatError as exc:
+    except (DataFormatError, ValueError) as exc:
         print(f"bandedvar: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"bandedvar: {exc}", file=sys.stderr)
-        return 1
-    except (SingularDesignError, ConvergenceError, NonStationaryError) as exc:
-        print(f"bandedvar: {exc}", file=sys.stderr)
-        return 2
     except BandedVarError as exc:
         print(f"bandedvar: {exc}", file=sys.stderr)
         return 2

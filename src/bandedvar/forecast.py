@@ -30,21 +30,27 @@ def predict(model: BandedVarModel, history, h: int = 1, mean=None) -> np.ndarray
 
     ``history`` is a TimeSeries or a p x m array whose last columns feed the
     recursion; horizons beyond one plug earlier predictions in for unknown
-    values. ``mean`` holds per-series offsets that were removed before the
-    model was fitted; they are subtracted from the history and added back to
-    the output.
+    values. ``mean`` holds the offsets that were removed before the model was
+    fitted: a length-p vector, or a p x period table whose column s applies at
+    times t with t mod period = s, counting history column 0 as t = 0. They
+    are subtracted from the history and added back to the output by phase.
     """
     if h < 1:
         raise ValueError("horizon must be at least 1")
     vals = history.values if isinstance(history, TimeSeries) else np.asarray(history, dtype=float)
     if vals.ndim != 2 or vals.shape[0] != model.p:
         raise ValueError(f"history must be {model.p} x m")
-    d = model.d
-    if vals.shape[1] < d:
+    d, m = model.d, vals.shape[1]
+    if m < d:
         raise ValueError(f"insufficient history: need at least {d} observations")
     if mean is not None:
-        mean = np.asarray(mean, dtype=float)
-        vals = vals - mean[:, None]
+        offsets = np.asarray(mean, dtype=float)
+        if offsets.ndim == 1:
+            offsets = offsets[:, None]
+        if offsets.ndim != 2 or offsets.shape[0] != model.p or offsets.shape[1] < 1:
+            raise ValueError(f"mean must have length {model.p} or shape {model.p} x period")
+        offsets = offsets[:, np.arange(m - d, m + h) % offsets.shape[1]]  # times m-d .. m+h-1
+        vals = vals[:, m - d :] - offsets[:, :d]
     state = [vals[:, -ell] for ell in range(1, d + 1)]  # most recent first
     out = np.empty((model.p, h))
     for s in range(h):
@@ -54,7 +60,7 @@ def predict(model: BandedVarModel, history, h: int = 1, mean=None) -> np.ndarray
         out[:, s] = nxt
         state = [nxt] + state[: d - 1]
     if mean is not None:
-        out = out + mean[:, None]
+        out = out + offsets[:, d:]
     if not np.all(np.isfinite(out)):
         raise ValueError("non-finite prediction; model or history out of range")
     return out
@@ -66,7 +72,8 @@ class FitSpec:
 
     ``k=None`` selects the bandwidth by the per-equation criterion with bound
     ``K`` (default floor(sqrt(n))). ``period`` switches preprocessing from
-    plain demeaning to seasonal-mean removal with that cycle length.
+    plain demeaning to seasonal-mean removal with that cycle length; either
+    way the removed offsets are added back to the predictions by phase.
     """
 
     d: int = 1
@@ -107,31 +114,19 @@ class ForecastReport:
 
 
 def _fit_window(train: TimeSeries, spec: FitSpec, threads: int):
-    """Fit on a training window; returns (model, offsets_fn) where offsets_fn
-    maps a time index to the per-series offset at that time."""
-    seasonal = None
-    means = None
-    if spec.period is not None:
-        work, seasonal = deseasonalize(train, spec.period)
-        fit_demean = False
-    else:
-        work = train
-        fit_demean = spec.demean
+    """Select (unless ``spec.k`` is set) and fit on a training window; returns
+    (model, k, offsets). ``offsets`` is the p x period table removed from the
+    window first (period 1 when only demeaning), or None, as ``predict`` takes
+    it."""
+    offsets = None
+    if spec.period is not None or spec.demean:
+        train, offsets = deseasonalize(train, spec.period or 1)
     k = spec.k
     if k is None:
-        trace = select_bandwidth(
-            work if not fit_demean else work.demeaned()[0],
-            d=spec.d,
-            K=spec.K,
-            cn=spec.cn,
-            include_zero=spec.include_zero,
-            threads=threads,
-        )
-        k = trace.k_hat
-    report = fit_banded_var(work, k, d=spec.d, demean=fit_demean, threads=threads)
-    if fit_demean:
-        means = report.means
-    return report.model, k, means, seasonal
+        k = select_bandwidth(
+            train, d=spec.d, K=spec.K, cn=spec.cn, include_zero=spec.include_zero, threads=threads
+        ).k_hat
+    return fit_banded_var(train, k, d=spec.d, threads=threads).model, k, offsets
 
 
 def rolling_evaluation(
@@ -172,7 +167,7 @@ def rolling_evaluation(
 
     def model_for(train_len):
         if model is not None:
-            return model, None, model_means, None
+            return model, None, model_means
         if train_len not in fitted:
             fitted[train_len] = _fit_window(ts.window(0, train_len), fit_spec, threads)
         return fitted[train_len]
@@ -183,17 +178,10 @@ def rolling_evaluation(
     for col, t in enumerate(targets):
         for s in range(1, h_max + 1):
             origin = t - s
-            mdl, k_used_here, means, seasonal = model_for(train_end if not refit else origin + 1)
+            mdl, k_used_here, offsets = model_for(train_end if not refit else origin + 1)
             if k_used is None and k_used_here is not None:
                 k_used = k_used_here
-            hist = vals[:, : origin + 1]
-            if seasonal is not None:
-                period = seasonal.shape[1]
-                phases = np.arange(origin + 1) % period
-                hist = hist - seasonal[:, phases]
-            pred = predict(mdl, hist, h=s, mean=means)[:, -1]
-            if seasonal is not None:
-                pred = pred + seasonal[:, t % seasonal.shape[1]]
+            pred = predict(mdl, vals[:, : origin + 1], h=s, mean=offsets)[:, -1]
             diff = pred - vals[:, t]
             errors[s][:, col] = np.abs(diff) if metric == "absolute" else diff**2
     report = ForecastReport(

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from bandedvar import DataFormatError, TimeSeries, predict
+from bandedvar import DataFormatError, TimeSeries, fit_banded_var, predict
 from bandedvar.cli import build_parser, main
 from bandedvar.io import (
     load_model_json,
@@ -109,6 +109,25 @@ class TestFitAndForecast:
         assert code == 2
         assert "rows" in capsys.readouterr().err
 
+    def test_period_forecast_adds_seasonal_table_back(self, tmp_path):
+        # a level of 100 and a period-12 cycle of amplitude 50 on a simulated panel
+        out = simulate_panel(tmp_path, p=8, n=120, k0=1, seed=8)
+        period, n = 12, 120
+        t = np.arange(n)
+        vals = read_timeseries_csv(f"{out}.csv").values + 100 + 50 * np.sin(2 * np.pi * t / period)
+        write_timeseries_csv(tmp_path / "seasonal.csv", TimeSeries(vals))
+        assert run(
+            "forecast", "--data", tmp_path / "seasonal.csv", "--k", 1, "--period", period,
+            "--h", 2, "--out", tmp_path / "pred",
+        ) == 0
+        got = np.loadtxt(tmp_path / "pred.predictions.csv", delimiter=",", skiprows=1).T
+        table = np.column_stack([vals[:, t % period == s].mean(axis=1) for s in range(period)])
+        adjusted = vals - table[:, t % period]
+        a = fit_banded_var(TimeSeries(adjusted), 1).model.coeffs[0].to_dense()
+        step1 = a @ adjusted[:, -1]
+        want = np.column_stack([step1, a @ step1]) + table[:, [n % period, (n + 1) % period]]
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-9)
+
     def test_holdout_summary(self, tmp_path, capsys):
         out = simulate_panel(tmp_path, p=6, n=150, k0=1, seed=7)
         code = run(
@@ -162,6 +181,15 @@ class TestSelectCommand:
         assert code == 1
         assert "not allowed with argument" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_order_scan_rejects_fixed_order(self, tmp_path, capsys):
+        out = simulate_panel(tmp_path, p=8, n=100, k0=1, seed=13)
+        code = run("select", "--data", f"{out}.csv", "--L", 2, "--d", 3,
+                   "--out", tmp_path / "sel")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--d" in err and "--L" in err
+        assert not (tmp_path / "sel.trace.json").exists()
 
     def test_malformed_csv_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

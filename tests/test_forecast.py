@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandedvar import (
     BandedMatrix,
@@ -34,6 +36,31 @@ class TestPredict:
         mean = np.array([1.0, -2.0, 3.0])
         out = predict(zero_model(3), history, 2, mean=mean)
         assert np.allclose(out, np.column_stack([mean, mean]))
+        table = np.arange(12.0).reshape(3, 4)  # period 4; history holds times 0..9
+        out = predict(zero_model(3), history, 3, mean=table)
+        assert np.array_equal(out, table[:, [2, 3, 0]])
+
+    def test_malformed_offsets_rejected(self):
+        with pytest.raises(ValueError, match="mean"):
+            predict(zero_model(3), np.zeros((3, 5)), 1, mean=np.zeros((2, 4)))
+
+    @settings(max_examples=30)
+    @given(
+        p=st.integers(1, 8), d=st.integers(1, 3), h=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_vector_offsets_equal_one_column_table(self, p, d, h, seed):
+        rng = np.random.default_rng(seed)
+        k = min(1, p - 1)
+        coeffs = [
+            BandedMatrix.from_dense(np.triu(np.tril(rng.uniform(-0.3, 0.3, (p, p)), k), -k), k)
+            for _ in range(d)
+        ]
+        model = BandedVarModel(p, d, k, coeffs)
+        history = rng.standard_normal((p, d + 5)) + 1e3
+        mean = rng.standard_normal(p) + 1e3
+        vector = predict(model, history, h, mean=mean)
+        assert np.array_equal(vector, predict(model, history, h, mean=mean[:, None]))
 
     def test_two_step_is_squared_matrix(self):
         model = stationary_model(5, 1, 1, norm=0.9)
@@ -142,6 +169,19 @@ class TestRollingEvaluation:
         )
         assert fixed.errors[1].shape == refit.errors[1].shape
         assert not np.array_equal(fixed.errors[1], refit.errors[1])
+
+    @settings(max_examples=15)
+    @given(p=st.integers(4, 8), refit=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_period_one_equals_demeaning(self, p, refit, seed):
+        rng = np.random.default_rng(seed)
+        ts = TimeSeries(rng.standard_normal((p, 60)) + rng.uniform(-1e3, 1e3, (p, 1)))
+        runs = [
+            rolling_evaluation(ts, spec, holdout=4, h_max=2, refit=refit)
+            for spec in (FitSpec(K=3, period=1, demean=False), FitSpec(K=3, demean=True))
+        ]
+        assert runs[0].k_used == runs[1].k_used
+        for h in (1, 2):
+            assert np.array_equal(runs[0].errors[h], runs[1].errors[h])
 
     def test_degenerate_window_rejected(self):
         ts = TimeSeries(np.zeros((2, 10)))

@@ -6,7 +6,6 @@ relative, integers exactly, and all text between numbers byte for byte.
 """
 
 import importlib.util
-import re
 from pathlib import Path
 
 import pytest
@@ -15,23 +14,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 _spec = importlib.util.spec_from_file_location("golden_generate", GOLDEN_DIR / "generate.py")
 golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden)
-
-_NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
-REL_TOL = 1e-10
-
-
-def same_up_to_rounding(got: bytes, want: bytes) -> bool:
-    got, want = got.decode(), want.decode()
-    if _NUMBER.split(got) != _NUMBER.split(want):
-        return False
-    for g, w in zip(_NUMBER.findall(got), _NUMBER.findall(want)):
-        if g == w:
-            continue
-        if not any(c in g + w for c in ".eE"):
-            return False  # integers (picks, sizes, lags) must match exactly
-        if abs(float(g) - float(w)) > REL_TOL * abs(float(w)):
-            return False
-    return True
+same_up_to_rounding = golden.same_up_to_rounding
 
 
 @pytest.mark.parametrize("seed", golden.SEEDS)
