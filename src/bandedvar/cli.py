@@ -187,6 +187,22 @@ def cmd_autocov(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    if args.model:
+        fitting = (
+            ("--k", args.k is not None),
+            ("--K", args.K is not None),
+            ("--period", args.period is not None),
+            ("--refit", args.refit),
+            ("--include-zero", args.include_zero),
+            ("--no-demean", not args.demean),
+            ("--d", args.d != 1),
+        )
+        for option, given in fitting:
+            if given:
+                raise ValueError(
+                    f"forecast: {option} cannot be combined with --model, "
+                    "which forecasts from an already fitted model"
+                )
     ts = read_timeseries_csv(args.data)
     model = means = None
     if args.model:

@@ -8,6 +8,7 @@ lossless and runs with identical flags and seed produce identical bytes.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -50,6 +51,38 @@ def write_timeseries_csv(path, ts: TimeSeries) -> None:
 
 
 def read_timeseries_csv(path) -> TimeSeries:
+    """Read a series CSV: a header of labels, then one time point per row.
+
+    The header goes through ``csv`` (so quoted labels work) and the body
+    through numpy's C parser. Anything that parser rejects or that fails a
+    check (wrong width, no rows, non-finite values) is handed to the
+    line-by-line reader, which returns the same values where ``float`` and
+    ``csv`` accept the file (quoted or underscored numbers) and otherwise
+    raises the :class:`DataFormatError` naming the line.
+    """
+    values = None
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), None)
+        for first in fh:  # skip to the first non-empty line: loadtxt warns on no rows
+            if first.strip("\r\n"):
+                try:
+                    # comments=None: with the default "#", a cell 4#5 reads as 4
+                    values = np.loadtxt(
+                        itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2
+                    )
+                except ValueError:
+                    pass
+                break
+    if (
+        values is not None
+        and values.shape[1] == len(header)
+        and np.isfinite(values).all()
+    ):
+        return TimeSeries(values.T, labels=tuple(header))
+    return _read_timeseries_lines(path)
+
+
+def _read_timeseries_lines(path) -> TimeSeries:
     rows, linenos = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

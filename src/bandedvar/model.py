@@ -130,7 +130,13 @@ class BandedVarModel:
             asym = np.abs(sigma_eps - sigma_eps.T).max() if p else 0.0
             if asym > 1e-12:
                 raise ValueError(f"sigma_eps asymmetry {asym:.3e} exceeds 1e-12")
-            if np.linalg.eigvalsh(sigma_eps).min() < -1e-10:
+            # a diagonal matrix's eigenvalues are exactly its diagonal
+            diag = np.diagonal(sigma_eps)
+            if np.count_nonzero(sigma_eps) == np.count_nonzero(diag):
+                lowest = diag.min()
+            else:
+                lowest = np.linalg.eigvalsh(sigma_eps).min()
+            if lowest < -1e-10:
                 raise ValueError("sigma_eps has an eigenvalue below -1e-10")
             sigma_eps.flags.writeable = False
         object.__setattr__(self, "p", p)
@@ -189,8 +195,41 @@ def companion_matrix(model: BandedVarModel) -> np.ndarray:
 
 
 def is_stationary(model: BandedVarModel, margin: float = 1e-6) -> bool:
-    """True when the companion spectral radius is below ``1 - margin``."""
-    return spectral_radius(companion_matrix(model)) < 1.0 - margin
+    """True when the companion spectral radius is below ``c = 1 - margin``.
+
+    A norm certificate comes first, in O(p^2 k) work per lag. If z is a
+    companion eigenvalue, some v != 0 has v = sum_l A_l z^(-l) v, so
+    1 <= sum_l ||A_l||_2 |z|^(-l). Hence sum_l ||A_l||_2 c^(-l) < 1 (with
+    c > 0) puts every eigenvalue strictly inside radius c, and the answer is
+    True without forming the dp x dp companion matrix.
+
+    Each ||A_l||_2 must then be an upper bound, not an estimate. The banded
+    :func:`spectral_norm` takes the top eigenvalue of the computed
+    G = A^T A. Each entry of G is a sum of at most 2k + 1 products, so the
+    computed G is off by at most (2k + 1) eps |A|^T |A| entrywise, a matrix of
+    2-norm at most ||A||_1 ||A||_inf <= w^2, where w is the sum over
+    diagonals of their largest |entry|. The symmetric band eigensolver is
+    backward stable, its eigenvalue error a modest multiple of
+    p eps ||G||_2; 2p is allowed for it. So
+    ||A||_2^2 <= lambda + 2 (p + k + 1) eps w^2. The d-term sum, powers and
+    roots add a few eps relative each, covered by asking for a sum below
+    1 - 4 d eps.
+
+    When the certificate fails (near-unit or non-normal models), the answer
+    comes from the dense companion eigenvalues, as it always did; it is then
+    unchanged on every input where that dense check is itself reliable.
+    """
+    c = 1.0 - margin
+    if c > 0:
+        eps = np.finfo(float).eps
+        total = 0.0
+        for ell, a in enumerate(model.coeffs, start=1):
+            w = sum(float(np.abs(diag).max()) for diag in a.diagonals)
+            lam = spectral_norm(a) ** 2 + 2 * (a.p + a.k + 1) * eps * w * w
+            total += np.sqrt(lam) * c ** (-ell)
+        if total < 1.0 - 4 * model.d * eps:
+            return True
+    return spectral_radius(companion_matrix(model)) < c
 
 
 def _var1_variance(model: BandedVarModel):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ import pytest
 from bandedvar import DataFormatError, TimeSeries, fit_banded_var, predict
 from bandedvar.cli import build_parser, main
 from bandedvar.io import (
+    _read_timeseries_lines,
     load_model_json,
     read_timeseries_csv,
     write_timeseries_csv,
 )
 from bandedvar.rng import substream
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(*argv):
@@ -91,6 +95,33 @@ class TestFitAndForecast:
         got = np.array([float(v) for v in rows[1]])
         manual = model.coeffs[0].to_dense() @ ts.values[:, t - 1]
         assert np.allclose(got, manual, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "option",
+        [("--k", 1), ("--K", 3), ("--period", 4), ("--refit",), ("--include-zero",),
+         ("--no-demean",), ("--d", 2)],
+    )
+    @pytest.mark.parametrize("holdout", [(), ("--holdout", 5)])
+    def test_model_rejects_fitting_options(self, tmp_path, capsys, option, holdout):
+        out = simulate_panel(tmp_path, p=6, n=60, k0=1, seed=9)
+        assert run("fit", "--data", f"{out}.csv", "--k", 1, "--out", tmp_path / "fit") == 0
+        capsys.readouterr()
+        code = run(
+            "forecast", "--data", f"{out}.csv", "--model", tmp_path / "fit.model.json",
+            *option, *holdout, "--out", tmp_path / "pred",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert option[0] in err and "--model" in err
+        assert not list(tmp_path.glob("pred.*"))
+
+    def test_model_takes_default_fitting_options(self, tmp_path):
+        out = simulate_panel(tmp_path, p=6, n=60, k0=1, seed=9)
+        assert run("fit", "--data", f"{out}.csv", "--k", 1, "--out", tmp_path / "fit") == 0
+        assert run(
+            "forecast", "--data", f"{out}.csv", "--model", tmp_path / "fit.model.json",
+            "--d", 1, "--demean", "--out", tmp_path / "pred",
+        ) == 0
 
     def test_fit_demean_records_means(self, tmp_path):
         out = simulate_panel(tmp_path, p=6, n=90, k0=1, seed=6)
@@ -207,6 +238,61 @@ class TestReadTimeseriesCsv:
             read_timeseries_csv(bad)
         assert err.value.line == 3
         assert "'b'" in str(err.value)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_golden_series_bitwise_equal_to_line_reader(self, seed):
+        path = GOLDEN / f"seed{seed}" / "sim.csv"
+        fast, lines = read_timeseries_csv(path), _read_timeseries_lines(path)
+        assert fast.values.tobytes() == lines.values.tobytes()
+        assert fast.labels == lines.labels
+
+    # (file text, values as rows of the file, labels) for files that read
+    VALID = {
+        "quoted number": ('a,b\n"1.5",2\n', [[1.5, 2.0]], ("a", "b")),
+        "underscore": ("a,b\n1_0,2\n", [[10.0, 2.0]], ("a", "b")),
+        "quoted label with comma": ('"x,y",b\n1,2\n', [[1.0, 2.0]], ("x,y", "b")),
+        "crlf": ("a,b\r\n1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]], ("a", "b")),
+        "blank line": ("a,b\n1,2\n\n3,4\n", [[1.0, 2.0], [3.0, 4.0]], ("a", "b")),
+        "no trailing newline": ("a,b\n1,2\n3,4", [[1.0, 2.0], [3.0, 4.0]], ("a", "b")),
+        "padded cells": ("a,b\n 1 ,\t2\n", [[1.0, 2.0]], ("a", "b")),
+        "one column": ("a\n1\n2\n", [[1.0], [2.0]], ("a",)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(VALID))
+    def test_awkward_files_read_as_line_reader(self, tmp_path, case):
+        text, rows, labels = self.VALID[case]
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        ts = read_timeseries_csv(path)
+        assert ts.values.tobytes() == np.array(rows).T.tobytes()
+        assert ts.labels == labels
+
+    # (file text, line, message after the path) for files that do not
+    INVALID = {
+        "hash in first cell": ("a,b\n1,2\n4#5,2\n", 3, "line 3: could not convert string to float: '4#5'"),
+        # numpy's default comments="#" would read this row as 2, 4
+        "hash in last cell": ("a,b\n1,2\n2,4#5\n", 3, "line 3: could not convert string to float: '4#5'"),
+        "nan": ("a,b\n1,2\nnan,2\n", 3, "line 3: non-finite value nan in column 'a'"),
+        "inf": ("a,b\n1,2\n3,-inf\n", 3, "line 3: non-finite value -inf in column 'b'"),
+        "short row": ("a,b\n1,2\n3\n", 3, "line 3: expected 2 fields, found 1"),
+        "long row": ("a,b\n1,2,3\n", 2, "line 2: expected 2 fields, found 3"),
+        "empty cell": ("a,b\n1,\n", 2, "line 2: could not convert string to float: ''"),
+        "blank-looking row": ("a,b\n1,2\n \n", 3, "line 3: expected 2 fields, found 1"),
+        "header only": ("a,b\n", 1, "no data rows"),
+        "header and blank lines": ("a,b\n\n\n", 1, "no data rows"),
+        "empty file": ("", 1, "empty file"),
+        "empty header": ("\n1,2\n", 1, "empty header"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    def test_bad_files_raise_line_reader_error(self, tmp_path, case):
+        text, line, message = self.INVALID[case]
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataFormatError) as err:
+            read_timeseries_csv(path)
+        assert str(err.value) == f"{path}: {message}"
+        assert err.value.line == line
 
 
 class TestOrderCommand:

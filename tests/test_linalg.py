@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
 from bandedvar import (
@@ -117,6 +119,20 @@ class TestBandProduct:
             assert prod.k == min(ka + kb, p - 1)
             assert np.array_equal(prod.to_dense(), da @ db)
 
+    @settings(max_examples=60)
+    @given(data=st.data(), p=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_product_property(self, data, p, seed):
+        ka = data.draw(st.integers(0, p - 1), label="ka")
+        kb = data.draw(st.integers(0, p - 1), label="kb")
+        rng = np.random.default_rng(seed)
+        da = random_banded(p, ka, rng) * 10.0 ** rng.uniform(-3, 3)
+        db = random_banded(p, kb, rng) * 10.0 ** rng.uniform(-3, 3)
+        prod = band_product(BandedMatrix.from_dense(da, ka), BandedMatrix.from_dense(db, kb))
+        assert prod.k == min(ka + kb, p - 1)
+        # each side sums at most p products, so lies within about p eps / 2 |A| |B| of exact
+        bound = 2 * p * np.finfo(float).eps * (np.abs(da) @ np.abs(db))
+        assert np.all(np.abs(prod.to_dense() - da @ db) <= bound)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             band_product(BandedMatrix.identity(3), BandedMatrix.identity(4))
@@ -197,6 +213,15 @@ class TestSpectralNorm:
         dense = m.to_dense()
         top = svdvals(dense)[0]
         assert abs(spectral_norm(dense) - top) <= 1e-12 * top
+
+    @pytest.mark.parametrize(
+        "p, k", [(1, 0), (9, 0), (9, 8), (30, 29), (40, 3), (200, 2), (200, 15)]
+    )
+    def test_banded_matches_dense(self, p, k):
+        rng = np.random.default_rng(p + k)
+        m = BandedMatrix.from_dense(random_banded(p, k, rng), k)
+        banded, dense = spectral_norm(m), spectral_norm(m.to_dense())
+        assert abs(banded - dense) <= 1e-13 * dense
 
 
 class TestSpectralRadius:

@@ -1,8 +1,13 @@
 """Model containers, companion form, stationarity, implied autocovariances."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bandedvar import model as model_module
 from bandedvar import (
     BandedMatrix,
     BandedVarModel,
@@ -17,9 +22,11 @@ from bandedvar import (
     is_stationary,
     l1_norm,
     spectral_norm,
+    spectral_radius,
     theoretical_autocov_var1,
 )
 from bandedvar.rng import substream
+from bandedvar.simulate import SimConfig, make_model
 
 
 def banded_model(p, k0, rng, sigma=None, target_norm=None):
@@ -65,6 +72,23 @@ class TestContainers:
             BandedVarModel(3, 1, 0, a, bad_sym)
         with pytest.raises(ValueError, match="eigenvalue"):
             BandedVarModel(3, 1, 0, a, -np.eye(3))
+
+    @pytest.mark.parametrize("low, ok", [(-1e-9, False), (-1e-11, True), (0.0, True)])
+    def test_diagonal_sigma_threshold(self, low, ok):
+        # a diagonal sigma is judged by its diagonal, at the eigenvalue threshold
+        a = [BandedMatrix.zeros(3, 0)]
+        with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError):
+            if ok:
+                BandedVarModel(3, 1, 0, a, np.diag([1.0, low, 2.0]))
+            else:
+                with pytest.raises(ValueError, match="eigenvalue below -1e-10"):
+                    BandedVarModel(3, 1, 0, a, np.diag([1.0, low, 2.0]))
+
+    def test_non_diagonal_sigma_uses_eigenvalues(self):
+        # PSD check on the spectrum, not the diagonal: [[1, 2], [2, 1]] has eigenvalue -1
+        a = [BandedMatrix.zeros(2, 0)]
+        with pytest.raises(ValueError, match="eigenvalue"):
+            BandedVarModel(2, 1, 0, a, np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_json_round_trip(self):
         model = banded_model(6, 2, substream(1, "coeffs"), sigma=gen_sigma_eps_structured(6))
@@ -122,6 +146,49 @@ class TestStationarity:
             assert is_stationary(model)
             radius = np.abs(np.linalg.eigvals(model.coeffs[0].to_dense())).max()
             assert radius < 1.0
+
+    @settings(max_examples=120)
+    @given(
+        data=st.data(),
+        p=st.integers(1, 30),
+        d=st.integers(1, 2),
+        total=st.sampled_from(["draw", "just_below", "just_above"]),
+        margin=st.sampled_from([1e-6, 0.0, 0.3, -0.2, 1.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_certificate_agrees_with_companion_eigenvalues(
+        self, data, p, d, total, margin, seed
+    ):
+        # norms split so that sum_l ||A_l|| |c|^(-l) is a draw, 1 - 1e-9 or 1 + 1e-9
+        rng = np.random.default_rng(seed)
+        c = 1.0 - margin
+        t = {"draw": rng.uniform(0.0, 1.5), "just_below": 1 - 1e-9, "just_above": 1 + 1e-9}[total]
+        shares = rng.dirichlet(np.ones(d))
+        coeffs = []
+        for ell in range(1, d + 1):
+            k = data.draw(st.integers(0, p - 1), label=f"k{ell}")
+            raw = BandedMatrix(p, k, [rng.normal(size=p - abs(m - k)) for m in range(2 * k + 1)])
+            norm = spectral_norm(raw.to_dense())
+            target = t * shares[ell - 1] * abs(c) ** ell
+            coeffs.append(raw.scaled(target / norm) if norm > 0 else raw)
+        model = BandedVarModel(p, d, p - 1, coeffs)
+        want = spectral_radius(companion_matrix(model)) < c
+        if total == "just_below" and c > 0:
+            # the certificate alone must answer: no dense eigenvalues
+            with mock.patch.object(model_module, "spectral_radius", side_effect=AssertionError):
+                assert is_stationary(model, margin)
+            assert want
+        else:
+            assert is_stationary(model, margin) == want
+
+    @pytest.mark.parametrize("setting", ["uniform", "mixture"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_simulation_draws_take_the_certificate(self, monkeypatch, setting, seed):
+        # the dense companion eigenvalues are never needed when c > ||A||_2
+        monkeypatch.setattr(model_module, "spectral_radius", mock.Mock(side_effect=AssertionError))
+        model = make_model(SimConfig(p=300, n=10, k0=3, seed=seed, setting=setting))
+        assert spectral_norm(model.coeffs[0]) < 1.0 - 1e-6
+        assert is_stationary(model)
 
 
 class TestTheoreticalAutocov:
