@@ -227,7 +227,10 @@ def spectral_norm(m) -> float:
         return 0.0
     g = m.T @ m if m.shape[1] <= m.shape[0] else m @ m.T
     top = g.shape[0] - 1
-    lam = _eigvalsh(g, subset_by_index=[top, top], check_finite=False)[0]
+    # numpy forms the Gram matrix with syrk and mirrors it, so it is exactly
+    # symmetric and its transpose is the same matrix in the Fortran order
+    # LAPACK wants: the solver works in g instead of a p x p copy of it.
+    lam = _eigvalsh(g.T, subset_by_index=[top, top], check_finite=False, overwrite_a=True)[0]
     return float(np.sqrt(max(lam, 0.0)))
 
 

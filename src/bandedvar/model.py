@@ -127,14 +127,16 @@ class BandedVarModel:
             sigma_eps = np.array(sigma_eps, dtype=float)
             if sigma_eps.shape != (p, p):
                 raise ValueError(f"sigma_eps must be {p} x {p}")
-            asym = np.abs(sigma_eps - sigma_eps.T).max() if p else 0.0
-            if asym > 1e-12:
-                raise ValueError(f"sigma_eps asymmetry {asym:.3e} exceeds 1e-12")
-            # a diagonal matrix's eigenvalues are exactly its diagonal
             diag = np.diagonal(sigma_eps)
             if np.count_nonzero(sigma_eps) == np.count_nonzero(diag):
+                # a diagonal matrix is symmetric and its eigenvalues are exactly
+                # its diagonal: no p x p temporaries
                 lowest = diag.min()
             else:
+                diff = sigma_eps - sigma_eps.T
+                asym = np.abs(diff, out=diff).max()
+                if asym > 1e-12:
+                    raise ValueError(f"sigma_eps asymmetry {asym:.3e} exceeds 1e-12")
                 lowest = np.linalg.eigvalsh(sigma_eps).min()
             if lowest < -1e-10:
                 raise ValueError("sigma_eps has an eigenvalue below -1e-10")

@@ -145,10 +145,19 @@ def simulate_var(
     if rng is None:
         rng = substream(0, "innovations")
     p, d = model.p, model.d
-    sigma = model.sigma_eps if model.sigma_eps is not None else np.eye(p)
-    factor = _innovation_factor(np.asarray(sigma))
+    sigma = model.sigma_eps
     total = burn_in + n
-    out = factor @ rng.standard_normal((p, total))  # innovations, updated in place
+    out = rng.standard_normal((p, total))  # innovations, updated in place
+    if sigma is not None:
+        diag = np.diagonal(sigma)
+        if np.count_nonzero(sigma) == np.count_nonzero(diag) and (diag > 0).all():
+            # The Cholesky factor of a positive diagonal is diag(sqrt(d)) exactly,
+            # and each entry of factor @ z is one rounded product plus exact
+            # zeros, so scaling the rows gives the same bits without the p x p
+            # factor and the matrix product.
+            out *= np.sqrt(diag)[:, None]
+        else:
+            out = _innovation_factor(sigma) @ out
     for t in range(total):
         for ell, a in enumerate(model.coeffs[:t], start=1):
             out[:, t] += a.matvec(out[:, t - ell])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import svdvals
+from scipy.linalg import eigvalsh, svdvals
 
 from bandedvar import (
     BandedMatrix,
@@ -222,6 +222,19 @@ class TestSpectralNorm:
         m = BandedMatrix.from_dense(random_banded(p, k, rng), k)
         banded, dense = spectral_norm(m), spectral_norm(m.to_dense())
         assert abs(banded - dense) <= 1e-13 * dense
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("shape", [(1, 1), (40, 40), (30, 8), (8, 30)])
+    def test_dense_solves_in_place_bit_for_bit(self, shape, layout):
+        # The eigensolver works in the Gram matrix's transpose instead of a
+        # copy of it; the answer keeps the bits of the copying call.
+        m = np.random.default_rng(sum(shape)).normal(size=(shape[0], 2 * shape[1]))
+        m = {"C": m[:, : shape[1]].copy(), "F": np.asfortranarray(m[:, : shape[1]]),
+             "strided": m[:, ::2]}[layout]
+        g = m.T @ m if m.shape[1] <= m.shape[0] else m @ m.T
+        top = g.shape[0] - 1
+        lam = eigvalsh(g, subset_by_index=[top, top], check_finite=False)[0]
+        assert spectral_norm(m) == float(np.sqrt(max(lam, 0.0)))
 
 
 class TestSpectralRadius:

@@ -178,6 +178,23 @@ class TestSimulateVar:
         ref = ref[:, burn_in:]
         assert np.abs(ts.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("kind", ["none", "identity", "diagonal"])
+    def test_diagonal_innovations_keep_cholesky_bits(self, kind):
+        # Diagonal covariances scale the draws row by row instead of forming
+        # the Cholesky factor and multiplying; the path keeps its bits.
+        p, n, burn_in = 30, 20, 10
+        coeff = gen_coeff_uniform(p, 2, substream(17, "coeffs"), target_norm=0.6)
+        sigma = {"none": None, "identity": np.eye(p),
+                 "diagonal": np.diag(np.linspace(0.1, 3.0, p))}[kind]
+        model = BandedVarModel(p, 1, 2, [coeff], sigma)
+        ts = simulate_var(model, n, burn_in=burn_in, rng=substream(17, "innovations"))
+
+        full = np.eye(p) if sigma is None else sigma
+        ref = np.linalg.cholesky(full) @ substream(17, "innovations").standard_normal((p, burn_in + n))
+        for t in range(1, burn_in + n):
+            ref[:, t] += coeff.matvec(ref[:, t - 1])
+        assert np.array_equal(ts.values, ref[:, burn_in:])
+
 
 class TestSimConfig:
     def test_mixture_with_zero_band_rejected(self):
