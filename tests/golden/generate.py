@@ -47,8 +47,14 @@ CASES = (
                              "--q", "20", "--seed", "{seed}"]),
     ("bench_t1", ["bench", "--table", "t1", "--p", "30", "--reps", "3", "--K", "5",
                   "--seed", "{seed}"]),
+    ("bench_t2", ["bench", "--table", "t2", "--p", "30", "--reps", "3", "--K", "5",
+                  "--seed", "{seed}"]),
+    ("bench_t3", ["bench", "--table", "t3", "--p", "30", "--reps", "3", "--K", "5",
+                  "--seed", "{seed}"]),
     ("bench_t4", ["bench", "--table", "t4", "--p", "30", "--reps", "2", "--q", "10",
                   "--seed", "{seed}"]),
+    ("bench_t7", ["bench", "--table", "t7", "--p", "30", "--reps", "2", "--K", "5",
+                  "--k0", "2", "--seed", "{seed}"]),
 )
 
 # Table 4 scores estimators against the model-implied autocovariance, whose
