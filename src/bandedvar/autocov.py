@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TimeSeries
-from .rng import as_generator
+from .rng import substream
 
 __all__ = [
     "AutocovEstimate",
@@ -89,9 +89,9 @@ def default_band_grid(n: int, p: int) -> np.ndarray:
     return np.arange(0, min(p - 1, 2 * default_band_width(n, p, 1.0) + 5) + 1)
 
 
-def default_threshold_grid(sample: np.ndarray, size: int = 21) -> np.ndarray:
-    """Evenly spaced cutoffs from 0 to the largest absolute entry."""
-    return np.linspace(0.0, float(np.abs(sample).max()), size)
+def default_threshold_grid(sample: np.ndarray) -> np.ndarray:
+    """21 evenly spaced cutoffs from 0 to the largest absolute entry."""
+    return np.linspace(0.0, float(np.abs(sample).max()), 21)
 
 
 @dataclass
@@ -129,7 +129,8 @@ def _bootstrap_select(ts, j, sample, grid, q, rng, weights, method) -> Bootstrap
             raise ValueError(f"grid entry {value!r} at position {pos} is not a {kind} number >= 0")
     if q < 1:
         raise ValueError("need at least one bootstrap replicate")
-    rng = as_generator(rng, label="bootstrap")
+    if not isinstance(rng, np.random.Generator):  # an integer seed, or None for seed 0
+        rng = substream(0 if rng is None else int(rng), "bootstrap")
     if weights is None:
         weights = lambda g, size: g.standard_exponential(size)
     n = ts.n

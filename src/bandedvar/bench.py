@@ -15,19 +15,14 @@ from .autocov import _bootstrap_select, band, hard_threshold, sample_autocov
 from .estimation import _parallel_map, fit_banded_var
 from .forecast import predict
 from .linalg import l1_norm, spectral_norm
-from .model import BandedVarModel, _var1_variance
+from .model import _var1_variance
 from .rng import substream
 from .selection import (
     joint_bic_from_surface,
     rss_surface,
     select_bandwidth_from_surface,
 )
-from .simulate import (
-    gen_coeff_mixture,
-    gen_coeff_uniform,
-    gen_sigma_eps_structured,
-    simulate_var,
-)
+from .simulate import _draw_model, gen_sigma_eps_structured, simulate_var
 
 __all__ = [
     "selection_frequency_cell",
@@ -44,19 +39,16 @@ __all__ = [
 ]
 
 
-def _draw_coeff(setting: str, p: int, k0: int, rng, target_norm=None):
-    if setting == "uniform":
-        return gen_coeff_uniform(p, k0, rng, target_norm)
-    if setting == "mixture":
-        return gen_coeff_mixture(p, k0, rng, target_norm)
-    raise ValueError(f"unknown setting {setting!r}")
-
-
 def _draw_and_simulate(setting, p, k0, n, seed, rep, sigma=None, target_norm=None):
-    a = _draw_coeff(setting, p, k0, substream(seed, "coeffs", rep), target_norm)
-    model = BandedVarModel(p, 1, k0, [a], np.eye(p) if sigma is None else sigma)
+    model = _draw_model(setting, p, k0, substream(seed, "coeffs", rep), target_norm, sigma)
     ts = simulate_var(model, n, rng=substream(seed, "innovations", rep))
     return model, ts
+
+
+def _mean_sd(values) -> tuple:
+    """Mean and sample standard deviation over replications (sd 0 for one)."""
+    values = np.asarray(values, dtype=float)
+    return float(values.mean()), float(values.std(ddof=1)) if values.size > 1 else 0.0
 
 
 def _freq(picks, k0) -> dict:
@@ -77,7 +69,6 @@ def selection_frequency_cell(
     reps: int = 100,
     K: int = 15,
     seed: int = 0,
-    include_zero: bool = False,
     with_joint: bool = True,
     threads: int = 1,
 ) -> dict:
@@ -89,7 +80,7 @@ def selection_frequency_cell(
 
     def job(rep):
         _, ts = _draw_and_simulate(setting, p, k0, n, seed, rep)
-        surface = rss_surface(ts, d=1, K=K, include_zero=include_zero)
+        surface = rss_surface(ts, d=1, K=K)
         k_marginal = select_bandwidth_from_surface(surface).k_hat
         k_joint = joint_bic_from_surface(surface)[0] if with_joint else None
         return k_marginal, k_joint
@@ -116,24 +107,21 @@ def estimation_error_cell(
     def job(rep):
         model, ts = _draw_and_simulate(setting, p, k0, n, seed, rep)
         truth = model.coeffs[0].to_dense()
-        surface = rss_surface(ts, d=1, K=K)
-        k_hat = select_bandwidth_from_surface(surface).k_hat
-        est = fit_banded_var(ts, k_hat).model.coeffs[0].to_dense() - truth
-        oracle = fit_banded_var(ts, k0).model.coeffs[0].to_dense() - truth
-        return (
-            l1_norm(est),
-            spectral_norm(est),
-            l1_norm(oracle),
-            spectral_norm(oracle),
-            k_hat,
-        )
+        k_hat = select_bandwidth_from_surface(rss_surface(ts, d=1, K=K)).k_hat
+
+        def errors(k):
+            err = fit_banded_var(ts, k).model.coeffs[0].to_dense() - truth
+            return l1_norm(err), spectral_norm(err)
+
+        oracle = errors(k0)
+        # at k_hat == k0 the estimated and oracle fits are the same computation
+        return (*(oracle if k_hat == k0 else errors(k_hat)), *oracle, k_hat)
 
     rows = np.array(_parallel_map(job, range(reps), threads))
-    names = ("estimated_l1", "estimated_l2", "true_l1", "true_l2")
-    out = {
-        name: {"mean": float(rows[:, c].mean()), "sd": float(rows[:, c].std(ddof=1)) if reps > 1 else 0.0}
-        for c, name in enumerate(names)
-    }
+    out = {}
+    for c, name in enumerate(("estimated_l1", "estimated_l2", "true_l1", "true_l2")):
+        mean, sd = _mean_sd(rows[:, c])
+        out[name] = {"mean": mean, "sd": sd}
     out["k_hat_mean"] = float(rows[:, 4].mean())
     return out
 
@@ -154,9 +142,8 @@ def frobenius_trend_cell(
     """
 
     def job(rep):
-        a = _draw_coeff(setting, p, k0, substream(seed, "coeffs", rep))
-        model = BandedVarModel(p, 1, k0, [a], np.eye(p))
-        truth = a.to_dense()
+        model = _draw_model(setting, p, k0, substream(seed, "coeffs", rep))
+        truth = model.coeffs[0].to_dense()
         errs = []
         for n in ns:
             ts = simulate_var(model, n, rng=substream(seed, "innovations", rep, n))
@@ -214,14 +201,10 @@ def autocov_error_cell(
     for j in lags:
         cell[j] = {}
         for method in ("banding", "thresholding", "sample"):
-            l1s = np.array([res[j][method][0] for res in results])
-            l2s = np.array([res[j][method][1] for res in results])
-            cell[j][method] = {
-                "l1_mean": float(l1s.mean()),
-                "l1_sd": float(l1s.std(ddof=1)) if reps > 1 else 0.0,
-                "l2_mean": float(l2s.mean()),
-                "l2_sd": float(l2s.std(ddof=1)) if reps > 1 else 0.0,
-            }
+            stats = cell[j][method] = {}
+            for c, norm in enumerate(("l1", "l2")):
+                values = [res[j][method][c] for res in results]
+                stats[f"{norm}_mean"], stats[f"{norm}_sd"] = _mean_sd(values)
         cell[j]["r_selected"] = [res[j]["r"] for res in results]
         cell[j]["t_selected"] = [res[j]["t"] for res in results]
     return cell
@@ -278,16 +261,9 @@ def ordering_prediction_cell(
     cell = {}
     for name in ("true", "local", "random1", "random2"):
         arr = np.array([res[name] for res in results])
-        cell[name] = {
-            "bic_mean": float(arr[:, 0].mean()),
-            "bic_sd": float(arr[:, 0].std(ddof=1)) if reps > 1 else 0.0,
-            "k_mean": float(arr[:, 1].mean()),
-            "k_sd": float(arr[:, 1].std(ddof=1)) if reps > 1 else 0.0,
-            "one_step_mean": float(arr[:, 2].mean()),
-            "one_step_sd": float(arr[:, 2].std(ddof=1)) if reps > 1 else 0.0,
-            "two_step_mean": float(arr[:, 3].mean()),
-            "two_step_sd": float(arr[:, 3].std(ddof=1)) if reps > 1 else 0.0,
-        }
+        stats = cell[name] = {}
+        for c, stat in enumerate(("bic", "k", "one_step", "two_step")):
+            stats[f"{stat}_mean"], stats[f"{stat}_sd"] = _mean_sd(arr[:, c])
     return cell
 
 

@@ -79,7 +79,6 @@ class FitSpec:
     d: int = 1
     k: int | None = None
     K: int | None = None
-    cn: float | None = None
     include_zero: bool = False
     demean: bool = True
     period: int | None = None
@@ -124,7 +123,7 @@ def _fit_window(train: TimeSeries, spec: FitSpec, threads: int):
     k = spec.k
     if k is None:
         k = select_bandwidth(
-            train, d=spec.d, K=spec.K, cn=spec.cn, include_zero=spec.include_zero, threads=threads
+            train, d=spec.d, K=spec.K, include_zero=spec.include_zero, threads=threads
         ).k_hat
     return fit_banded_var(train, k, d=spec.d, threads=threads).model, k, offsets
 
@@ -208,4 +207,4 @@ def deseasonalize(ts: TimeSeries, period: int):
     for s in range(period):
         seasonal[:, s] = vals[:, phases == s].mean(axis=1)
     adjusted = vals - seasonal[:, phases]
-    return TimeSeries(adjusted, ts.labels, ts.coords), seasonal
+    return TimeSeries(adjusted, ts.labels), seasonal

@@ -84,18 +84,17 @@ class BandedMatrix:
         return cls(p, 0, [np.ones(p)])
 
     @classmethod
-    def from_dense(cls, dense, k: int, check: bool = True) -> "BandedMatrix":
+    def from_dense(cls, dense, k: int) -> "BandedMatrix":
         """Build from a dense square array.
 
-        With ``check=True`` (the default) any non-zero entry outside the band
-        raises ValueError; truncation must be requested explicitly via
-        :func:`bandedvar.autocov.band` first.
+        Any non-zero entry outside the band raises ValueError; truncation must
+        be requested explicitly via :func:`bandedvar.autocov.band` first.
         """
         a = np.asarray(dense, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("dense input must be a square 2-D array")
         p = a.shape[0]
-        if check and k < p - 1:
+        if k < p - 1:
             rows, cols = np.nonzero(a)
             if np.any(np.abs(rows - cols) > k):
                 bad = np.argmax(np.abs(rows - cols) > k)
@@ -123,11 +122,6 @@ class BandedMatrix:
         if abs(o) > self.k:
             return 0.0
         return float(self.diagonals[o + self.k][min(i, j)])
-
-    def diagonal(self, offset: int = 0) -> np.ndarray:
-        if abs(offset) > self.k:
-            return np.zeros(self.p - abs(offset))
-        return self.diagonals[offset + self.k]
 
     def scaled(self, c: float) -> "BandedMatrix":
         return BandedMatrix(self.p, self.k, [c * d for d in self.diagonals])

@@ -30,13 +30,12 @@ SCHEMA_VERSION = 1
 class TimeSeries:
     """A p-variate series of length n, stored as a p x n array (column t = y_t).
 
-    ``labels`` are optional per-series names and ``coords`` optional per-series
-    2-D positions used by ordering strategies. Instances are immutable.
+    ``labels`` are optional per-series names. Instances are immutable.
     """
 
-    __slots__ = ("values", "labels", "coords")
+    __slots__ = ("values", "labels")
 
-    def __init__(self, values, labels=None, coords=None):
+    def __init__(self, values, labels=None):
         vals = np.array(values, dtype=float)
         if vals.ndim != 2:
             raise ValueError("values must be a 2-D array (series x time)")
@@ -48,14 +47,8 @@ class TimeSeries:
             labels = tuple(str(s) for s in labels)
             if len(labels) != p:
                 raise ValueError(f"{len(labels)} labels for {p} series")
-        if coords is not None:
-            coords = np.array(coords, dtype=float)
-            if coords.shape != (p, 2):
-                raise ValueError(f"coords must have shape ({p}, 2)")
-            coords.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "coords", coords)
 
     def __setattr__(self, name, value):
         raise AttributeError("TimeSeries is immutable")
@@ -69,20 +62,19 @@ class TimeSeries:
         return self.values.shape[1]
 
     def window(self, start: int, stop: int) -> "TimeSeries":
-        """Time slice [start, stop), keeping labels and coordinates."""
-        return TimeSeries(self.values[:, start:stop], self.labels, self.coords)
+        """Time slice [start, stop), keeping labels."""
+        return TimeSeries(self.values[:, start:stop], self.labels)
 
     def permuted(self, perm) -> "TimeSeries":
         """Reorder the component series by ``perm`` (new position -> old index)."""
         perm = _check_permutation(perm, self.p)
         labels = tuple(self.labels[i] for i in perm) if self.labels else None
-        coords = self.coords[perm] if self.coords is not None else None
-        return TimeSeries(self.values[perm], labels, coords)
+        return TimeSeries(self.values[perm], labels)
 
     def demeaned(self):
         """Subtract per-series sample means; returns (series, means)."""
         means = self.values.mean(axis=1)
-        return TimeSeries(self.values - means[:, None], self.labels, self.coords), means
+        return TimeSeries(self.values - means[:, None], self.labels), means
 
     def __repr__(self):
         return f"TimeSeries(p={self.p}, n={self.n})"

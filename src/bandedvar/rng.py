@@ -29,11 +29,3 @@ def substream(seed: int, *labels) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=keys)
     return np.random.Generator(np.random.Philox(seq))
 
-
-def as_generator(rng, fallback_seed: int = 0, label: str = "default") -> np.random.Generator:
-    """Coerce ``rng`` (a Generator, an integer seed, or None) to a Generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if rng is None:
-        return substream(fallback_seed, label)
-    return substream(int(rng), label)

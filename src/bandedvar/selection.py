@@ -148,13 +148,11 @@ class SelectionTrace:
     d_argmin_per_row: np.ndarray | None = None
     d_hat: int | None = None
 
-    def total_bic(self, k: int | None = None) -> float:
-        """Sum of per-equation criteria at a common bandwidth (default k_hat)."""
+    def total_bic(self) -> float:
+        """Sum of per-equation criteria at k_hat."""
         if self.bic.ndim != 2:
             raise BandedVarError("total criterion is defined for bandwidth-only scans")
-        k = self.k_hat if k is None else k
-        idx = self.ks.index(k)
-        return float(self.bic[:, idx].sum())
+        return float(self.bic[:, self.ks.index(self.k_hat)].sum())
 
     def to_dict(self) -> dict:
         out = {

@@ -8,7 +8,7 @@ U[0.3, 1.0) (or a caller-fixed value), which guarantees stationarity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,20 +38,16 @@ class SimConfig:
     n: int
     k0: int
     seed: int
-    d: int = 1
     setting: str = "uniform"  # uniform | mixture
     sigma_eps_kind: str = "identity"  # identity | structured_bbt
     target_norm: float | None = None
     burn_in: int = DEFAULT_BURN_IN
-    labels: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.p < 2 * self.k0 + 1:
             raise ValueError(f"p={self.p} must be at least 2 k0 + 1 = {2 * self.k0 + 1}")
         if self.burn_in < 0:
             raise ValueError("burn_in must be non-negative")
-        if self.d != 1:
-            raise ValueError("ground-truth generation supports first-order models only")
         if self.setting not in ("uniform", "mixture"):
             raise ValueError(f"unknown setting {self.setting!r}")
         if self.setting == "mixture" and self.k0 < 1:
@@ -130,7 +126,6 @@ def simulate_var(
     burn_in: int = DEFAULT_BURN_IN,
     rng=None,
     allow_explosive: bool = False,
-    labels=None,
 ) -> TimeSeries:
     """Simulate n observations with Gaussian innovations, after a burn-in from
     a zero start. A missing ``sigma_eps`` means identity innovations."""
@@ -161,21 +156,30 @@ def simulate_var(
     for t in range(total):
         for ell, a in enumerate(model.coeffs[:t], start=1):
             out[:, t] += a.matvec(out[:, t - ell])
-    return TimeSeries(out[:, burn_in:], labels=labels)
+    return TimeSeries(out[:, burn_in:])
+
+
+def _draw_model(setting, p, k0, rng, target_norm=None, sigma=None) -> BandedVarModel:
+    """First-order model with a ``setting`` ("uniform" or "mixture")
+    coefficient matrix drawn from ``rng`` and innovation covariance ``sigma``
+    (identity when None)."""
+    if setting == "uniform":
+        a = gen_coeff_uniform(p, k0, rng, target_norm)
+    elif setting == "mixture":
+        a = gen_coeff_mixture(p, k0, rng, target_norm)
+    else:
+        raise ValueError(f"unknown setting {setting!r}")
+    return BandedVarModel(p, 1, k0, [a], np.eye(p) if sigma is None else sigma)
 
 
 def make_model(config: SimConfig) -> BandedVarModel:
     """Draw the ground-truth model for ``config`` (substream "coeffs")."""
-    rng = substream(config.seed, "coeffs")
-    if config.setting == "uniform":
-        a = gen_coeff_uniform(config.p, config.k0, rng, config.target_norm)
-    else:
-        a = gen_coeff_mixture(config.p, config.k0, rng, config.target_norm)
-    if config.sigma_eps_kind == "structured_bbt":
-        sigma = gen_sigma_eps_structured(config.p)
-    else:
-        sigma = np.eye(config.p)
-    return BandedVarModel(config.p, 1, config.k0, [a], sigma)
+    structured = config.sigma_eps_kind == "structured_bbt"
+    sigma = gen_sigma_eps_structured(config.p) if structured else None
+    return _draw_model(
+        config.setting, config.p, config.k0, substream(config.seed, "coeffs"),
+        config.target_norm, sigma,
+    )
 
 
 def run_simulation(config: SimConfig):
@@ -186,6 +190,5 @@ def run_simulation(config: SimConfig):
         config.n,
         burn_in=config.burn_in,
         rng=substream(config.seed, "innovations"),
-        labels=config.labels,
     )
     return model, ts

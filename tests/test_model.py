@@ -48,16 +48,11 @@ class TestContainers:
         with pytest.raises(ValueError):
             TimeSeries(np.zeros((2, 5)), labels=("a",))
 
-    def test_permuted_moves_labels_and_coords(self):
-        ts = TimeSeries(
-            np.arange(6.0).reshape(3, 2),
-            labels=("a", "b", "c"),
-            coords=[(0, 0), (1, 0), (2, 0)],
-        )
+    def test_permuted_moves_labels(self):
+        ts = TimeSeries(np.arange(6.0).reshape(3, 2), labels=("a", "b", "c"))
         out = ts.permuted([2, 0, 1])
         assert out.labels == ("c", "a", "b")
         assert np.array_equal(out.values[0], ts.values[2])
-        assert np.array_equal(out.coords[0], ts.coords[2])
 
     def test_model_band_constraint(self):
         wide = BandedMatrix.zeros(5, 2)
