@@ -147,25 +147,20 @@ def band_product(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     """
     if a.p != b.p:
         raise ValueError(f"dimension mismatch: {a.p} vs {b.p}")
-    p = a.p
-    kc = min(a.k + b.k, p - 1)
-    out = [np.zeros(p - abs(m - kc)) for m in range(2 * kc + 1)]
-    for o in range(-kc, kc + 1):
-        acc = out[o + kc]
-        for u in range(max(-a.k, o - b.k), min(a.k, o + b.k) + 1):
-            w = o - u
-            lo = max(0, -o, -u)
-            hi = p - max(0, o, u)
-            if hi <= lo:
-                continue
-            # C[i, i+o] += A[i, i+u] * B[i+u, i+o]; each diagonal indexes by min
-            # of its own (row, col) pair.
-            da = a.diagonals[u + a.k]
-            db = b.diagonals[w + b.k]
-            acc[lo + min(0, o) : hi + min(0, o)] += (
-                da[lo + min(0, u) : hi + min(0, u)]
-                * db[lo + u + min(0, w) : hi + u + min(0, w)]
-            )
+    p, kf = a.p, a.k + b.k
+    kc = min(kf, p - 1)
+    # Work in LAPACK band layout at half-width kf, C[i, j] at [kf + i - j, j].
+    # B's diagonal at offset w scales column m of A's packed array by
+    # B[m, m + w] and lands in column m + w, rows shifted by kb - w. Offsets
+    # run downwards, so each entry sums its terms A[i, m] B[m, j] by ascending
+    # m; absent terms are zero products and leave the sums' bits unchanged.
+    acc = np.zeros((2 * kf + 1, p))
+    for w in range(b.k, -b.k - 1, -1):
+        lo, hi = max(0, -w), min(p, p - w)
+        acc[b.k - w : b.k - w + 2 * a.k + 1, lo + w : hi + w] += (
+            a._packed[:, lo:hi] * b.diagonals[w + b.k]
+        )
+    out = [acc[kf - o, max(o, 0) : p + min(o, 0)] for o in range(-kc, kc + 1)]
     return BandedMatrix(p, kc, out)
 
 
