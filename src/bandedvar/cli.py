@@ -288,14 +288,16 @@ def cmd_order(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if not args.k0:  # the table's own design, resolved here so the manifest records it
+        args.k0 = {"t4": [3], "t7": [2]}.get(args.table, [1])
     fn = BENCH_TABLES[args.table]
     kwargs = dict(n=args.n, reps=args.reps, seed=args.seed, threads=args.threads)
     if args.table in ("t1", "t2", "t3"):
         rows = fn(args.p, args.k0, K=args.K, **kwargs)
     elif args.table == "t4":
-        rows = fn(args.p, q=args.q, k0=args.k0[0] if args.k0 else 3, **kwargs)
+        rows = fn(args.p, q=args.q, k0=args.k0[0], **kwargs)
     else:  # t7
-        rows = fn(args.p, k0=args.k0[0] if args.k0 else 2, K=args.K, **kwargs)
+        rows = fn(args.p, k0=args.k0[0], K=args.K, **kwargs)
     table_path = f"{args.out}.csv"
     _write_rows_csv(table_path, rows)
     _manifest(args, [table_path]).write(f"{args.out}.manifest.json")
@@ -395,7 +397,8 @@ def build_parser() -> _Parser:
     p.add_argument("--table", choices=sorted(BENCH_TABLES), required=True)
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--p", type=_int_list, default=[100])
-    p.add_argument("--k0", type=_int_list, default=[1])
+    p.add_argument("--k0", type=_int_list, default=None,
+                   help="default: 1 for t1-t3, 3 for t4, 2 for t7")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--K", type=int, default=15)
     p.add_argument("--q", type=int, default=100)

@@ -353,6 +353,16 @@ class TestBenchCommand:
         assert run(*args, "--out", tmp_path / "two") == 0
         assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
+    @pytest.mark.parametrize("table, k0", [("t4", 3), ("t7", 2)])
+    def test_default_k0_is_the_tables_design(self, tmp_path, table, k0):
+        args = ["bench", "--table", table, "--reps", 1, "--p", 12, "--n", 60,
+                "--K", 3, "--q", 5, "--seed", 1]
+        assert run(*args, "--out", tmp_path / "default") == 0
+        assert run(*args, "--k0", k0, "--out", tmp_path / "given") == 0
+        assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "given.csv").read_bytes()
+        manifest = json.loads((tmp_path / "default.manifest.json").read_text())
+        assert manifest["config"]["k0"] == [k0]
+
     def test_unknown_table_rejected(self, tmp_path):
         assert run("bench", "--table", "t9", "--out", tmp_path / "x") == 1
 
