@@ -1,8 +1,9 @@
 """Golden command-line outputs: the cases, how to run them, and a rewriter.
 
 Each seed directory holds the files one fixed sequence of ``bandedvar``
-commands writes into an empty working directory (relative paths only), plus
-one ``<case>.stdout`` file per command. Manifests are stored without their
+commands writes into a working directory that starts with only the fixed
+``INPUTS`` copied from this directory (relative paths only), plus one
+``<case>.stdout`` file per command. Manifests are stored without their
 ``nondeterministic`` key, the one part of an output that differs between
 reruns with identical flags and seed.
 
@@ -25,6 +26,7 @@ import io
 import json
 import os
 import re
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -39,6 +41,8 @@ CASES = (
     ("select_L2", ["select", "--data", "sim.csv", "--L", "2"]),
     ("select_joint", ["select", "--data", "sim.csv", "--joint"]),
     ("fit", ["fit", "--data", "sim.csv", "--k", "2"]),
+    ("forecast_model", ["forecast", "--data", "sim.csv", "--model", "fit.model.json",
+                        "--h", "3"]),
     ("forecast", ["forecast", "--data", "sim.csv", "--holdout", "10"]),
     ("forecast_period", ["forecast", "--data", "sim.csv", "--period", "6", "--h", "2"]),
     ("autocov_banded", ["autocov", "--data", "sim.csv", "--method", "banded",
@@ -55,7 +59,12 @@ CASES = (
                   "--seed", "{seed}"]),
     ("bench_t7", ["bench", "--table", "t7", "--p", "30", "--reps", "2", "--K", "5",
                   "--k0", "2", "--seed", "{seed}"]),
+    ("order", ["order", "--data", "sim.csv", "--coords", "coords.csv",
+               "--strategy", "ns,we,nwse,swne,anchor:0", "--K", "5"]),
 )
+
+# fixed input files, copied from this directory into the working directory
+INPUTS = ("coords.csv",)
 
 # Table 4 scores estimators against the model-implied autocovariance, whose
 # summation may change rounding without changing the maths.
@@ -92,6 +101,8 @@ def run_cases(seed: int) -> dict:
     outputs = {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
+        for name in INPUTS:
+            shutil.copy(GOLDEN_DIR / name, tmp)
         os.chdir(tmp)
         try:
             for name, argv in CASES:
@@ -105,6 +116,8 @@ def run_cases(seed: int) -> dict:
         finally:
             os.chdir(cwd)
         for path in sorted(Path(tmp).iterdir()):
+            if path.name in INPUTS:
+                continue
             data = path.read_bytes()
             if path.name.endswith(".manifest.json"):
                 doc = json.loads(data)
