@@ -318,40 +318,42 @@ def table3_rows(ps, k0s, n=200, reps=100, K=15, seed=0, threads=1):
     return rows
 
 
-def table4_rows(ps, n=200, reps=100, q=100, seed=0, k0=3, target_norm=0.8, threads=1):
+def table4_rows(ps, k0s, n=200, reps=100, q=100, seed=0, target_norm=0.8, threads=1):
     rows = []
     for p in ps:
-        cell = autocov_error_cell(
-            p, n=n, reps=reps, q=q, seed=seed, k0=k0, target_norm=target_norm,
-            threads=threads,
-        )
-        for j in sorted(k for k in cell if isinstance(k, int)):
-            for norm in ("l1", "l2"):
-                rows.append(
-                    {
-                        "p": p,
-                        "lag": j,
-                        "norm": norm,
-                        "banding_mean": cell[j]["banding"][f"{norm}_mean"],
-                        "banding_sd": cell[j]["banding"][f"{norm}_sd"],
-                        "thresholding_mean": cell[j]["thresholding"][f"{norm}_mean"],
-                        "thresholding_sd": cell[j]["thresholding"][f"{norm}_sd"],
-                        "sample_mean": cell[j]["sample"][f"{norm}_mean"],
-                        "sample_sd": cell[j]["sample"][f"{norm}_sd"],
-                    }
-                )
+        for k0 in k0s:
+            cell = autocov_error_cell(
+                p, n=n, reps=reps, q=q, seed=seed, k0=k0, target_norm=target_norm,
+                threads=threads,
+            )
+            for j in sorted(k for k in cell if isinstance(k, int)):
+                for norm in ("l1", "l2"):
+                    rows.append(
+                        {
+                            "p": p,
+                            "k0": k0,
+                            "lag": j,
+                            "norm": norm,
+                            "banding_mean": cell[j]["banding"][f"{norm}_mean"],
+                            "banding_sd": cell[j]["banding"][f"{norm}_sd"],
+                            "thresholding_mean": cell[j]["thresholding"][f"{norm}_mean"],
+                            "thresholding_sd": cell[j]["thresholding"][f"{norm}_sd"],
+                            "sample_mean": cell[j]["sample"][f"{norm}_mean"],
+                            "sample_sd": cell[j]["sample"][f"{norm}_sd"],
+                        }
+                    )
     return rows
 
 
-def table7_rows(ps, n=200, reps=20, k0=2, K=15, seed=0, threads=1):
+def table7_rows(ps, k0s, n=200, reps=20, K=15, seed=0, threads=1):
     rows = []
     for p in ps:
-        cell = ordering_prediction_cell(
-            p, n=n, reps=reps, seed=seed, k0=k0, K=K, threads=threads
-        )
-        for name in ("true", "local", "random1", "random2"):
-            stats = cell[name]
-            rows.append({"p": p, "ordering": name, **stats})
+        for k0 in k0s:
+            cell = ordering_prediction_cell(
+                p, n=n, reps=reps, seed=seed, k0=k0, K=K, threads=threads
+            )
+            for name in ("true", "local", "random1", "random2"):
+                rows.append({"p": p, "k0": k0, "ordering": name, **cell[name]})
     return rows
 
 

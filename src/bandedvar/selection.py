@@ -89,6 +89,8 @@ def rss_surface(
         K = default_max_bandwidth(n, p)
     if K < 1:
         raise ValueError("search bound K must be at least 1")
+    if K > p - 1:
+        raise ValueError(f"search bound K={K} exceeds p - 1 = {p - 1}")
     ks = ([0] if include_zero else []) + list(range(1, K + 1))
     counts = np.array(
         [[row_regressor_count(i, k, d, p) for k in ks] for i in range(p)]

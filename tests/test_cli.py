@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bandedvar import DataFormatError, TimeSeries, fit_banded_var, predict
 from bandedvar.cli import build_parser, main
@@ -222,6 +224,25 @@ class TestSelectCommand:
         assert "--d" in err and "--L" in err
         assert not (tmp_path / "sel.trace.json").exists()
 
+    def test_level_shift_does_not_move_the_pick(self, tmp_path, capsys):
+        # select demeans by default, like fit, forecast and order
+        out = simulate_panel(tmp_path, p=12, n=150, k0=2, seed=15)
+        ts = read_timeseries_csv(f"{out}.csv")
+        write_timeseries_csv(tmp_path / "shifted.csv", TimeSeries(ts.values + 1e3))
+        picks = []
+        for name in (f"{out}.csv", tmp_path / "shifted.csv"):
+            capsys.readouterr()
+            assert run("select", "--data", name, "--K", 4, "--out", tmp_path / "sel") == 0
+            picks.append(capsys.readouterr().out)
+        assert picks[0] == picks[1]
+        assert picks[0].startswith("k_hat = ")
+
+    def test_search_bound_above_p_minus_one_names_it(self, tmp_path, capsys):
+        out = simulate_panel(tmp_path, p=12, n=60, k0=1, seed=13)
+        code = run("select", "--data", f"{out}.csv", "--K", 500, "--out", tmp_path / "sel")
+        assert code == 1
+        assert "search bound K=500 exceeds p - 1 = 11" in capsys.readouterr().err
+
     def test_malformed_csv_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1.0,2.0\n3.0\n")
@@ -355,8 +376,10 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("table, k0", [("t4", 3), ("t7", 2)])
     def test_default_k0_is_the_tables_design(self, tmp_path, table, k0):
-        args = ["bench", "--table", table, "--reps", 1, "--p", 12, "--n", 60,
-                "--K", 3, "--q", 5, "--seed", 1]
+        # each table gets only the options it uses: t4 runs a bootstrap, t7 selects
+        option = {"t4": ("--q", 5), "t7": ("--K", 3)}[table]
+        args = ["bench", "--table", table, "--reps", 1, "--p", 12, "--n", 60, *option,
+                "--seed", 1]
         assert run(*args, "--out", tmp_path / "default") == 0
         assert run(*args, "--k0", k0, "--out", tmp_path / "given") == 0
         assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "given.csv").read_bytes()
@@ -366,8 +389,92 @@ class TestBenchCommand:
     def test_unknown_table_rejected(self, tmp_path):
         assert run("bench", "--table", "t9", "--out", tmp_path / "x") == 1
 
+    @pytest.mark.parametrize("table, option", [("t4", ("--q", 3)), ("t7", ("--K", 3))])
+    def test_every_k0_runs(self, tmp_path, table, option):
+        code = run("bench", "--table", table, "--reps", 1, "--p", 12, "--n", 60,
+                   "--k0", "1,2", *option, "--out", tmp_path / "b")
+        assert code == 0
+        with open(tmp_path / "b.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        per_k0 = len(rows) // 2
+        assert [r["k0"] for r in rows] == ["1"] * per_k0 + ["2"] * per_k0
+        manifest = json.loads((tmp_path / "b.manifest.json").read_text())
+        assert manifest["config"]["k0"] == [1, 2]
+
+
+def simulate_tiny(tmp_path):
+    out = simulate_panel(tmp_path, p=6, n=60, k0=1, seed=9)
+    return f"{out}.csv"
+
+
+class TestRejectedArguments:
+    """Each argv exits 1 before writing anything, naming the option or path."""
+
+    CASES = {
+        "holdout 0": (["forecast", "--data", "{data}", "--holdout", 0], "--holdout"),
+        "period 0": (["forecast", "--data", "{data}", "--period", 0], "--period"),
+        "threads 0": (["fit", "--data", "{data}", "--k", 1, "--threads", 0], "--threads"),
+        "threads above the cap": (["select", "--data", "{data}", "--threads", 33], "--threads"),
+        "reps 0": (["bench", "--table", "t1", "--reps", 0, "--p", 12], "--reps"),
+        "reps -1": (["bench", "--table", "t1", "--reps", -1, "--p", 12], "--reps"),
+        "empty p list": (["bench", "--table", "t1", "--reps", 1, "--p", ","], "--p"),
+        "blank p list": (["bench", "--table", "t1", "--reps", 1, "--p", ""], "--p"),
+        "empty k0 list": (["bench", "--table", "t1", "--reps", 1, "--k0", ""], "--k0"),
+        "negative seed": (["simulate", "--p", 5, "--n", 9, "--k0", 1, "--seed", -1], "--seed"),
+        "nan threshold": (["autocov", "--data", "{data}", "--method", "thresholded",
+                           "--t", "nan"], "--t"),
+        "missing data": (["fit", "--data", "{tmp}/none.csv", "--k", 1], "none.csv"),
+        "missing coords": (["order", "--data", "{data}", "--coords", "{tmp}/none.csv"],
+                           "none.csv"),
+        "missing model": (["forecast", "--data", "{data}", "--model", "{tmp}/none.json"],
+                          "none.json"),
+        "r outside banding": (["autocov", "--data", "{data}", "--method", "thresholded",
+                               "--r", 2], "--r"),
+        "t outside thresholding": (["autocov", "--data", "{data}", "--t", 0.1], "--t"),
+        "K for table 4": (["bench", "--table", "t4", "--reps", 1, "--K", 3], "--K"),
+        "q outside table 4": (["bench", "--table", "t7", "--reps", 1, "--q", 3], "--q"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_one_naming_the_option(self, tmp_path, capsys, case):
+        argv, named = self.CASES[case]
+        data = simulate_tiny(tmp_path)
+        before = set(tmp_path.iterdir())
+        capsys.readouterr()
+        argv = [str(a).format(data=data, tmp=tmp_path) for a in argv]
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 1
+        assert named in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before
+
+    def test_unwritable_output_exits_one(self, tmp_path, capsys):
+        data = simulate_tiny(tmp_path)
+        code = run("fit", "--data", data, "--k", 1, "--out", tmp_path / "no" / "fit")
+        assert code == 1
+        assert str(tmp_path / "no" / "fit") in capsys.readouterr().err
+
 
 class TestCommonOptions:
+    # every flag each command takes, besides -h/--help and --out
+    FLAGS = {
+        "simulate": "--p --n --k0 --setting --sigma-eps --target-norm --burn-in --seed",
+        "fit": "--data --k --d --demean --no-demean --threads",
+        "select": "--data --d --K --Cn --L --joint --penalty-multiplier --include-zero "
+                  "--demean --no-demean --threads",
+        "autocov": "--data --lag --method --r --t --q --seed",
+        "forecast": "--data --model --k --K --d --h --holdout --refit --metric --period "
+                    "--include-zero --demean --no-demean --threads",
+        "order": "--data --coords --strategy --d --K --Cn --include-zero --demean "
+                 "--no-demean --threads",
+        "bench": "--table --reps --p --k0 --n --K --q --seed --threads",
+    }
+
+    def test_each_command_keeps_its_flags(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        assert set(commands) == set(self.FLAGS)
+        for name, flags in self.FLAGS.items():
+            want = set(flags.split()) | {"-h", "--help", "--out"}
+            assert set(commands[name]._option_string_actions) == want, name
+
     # (takes --seed, takes --threads): a command takes an option only if it uses it
     OPTIONS = {
         "simulate": (True, False),
@@ -386,3 +493,97 @@ class TestCommonOptions:
         for name, (seed, threads) in self.OPTIONS.items():
             flags = commands[name]._option_string_actions
             assert ("--seed" in flags, "--threads" in flags) == (seed, threads), name
+
+
+BAD = ("", "x", "-1", "1.5", "nan")
+
+
+def values(*good):
+    """Drawn values: each good one three times as likely as each awkward one."""
+    return good * 3 + BAD
+
+
+INTS, SMALL = values("0", "1", "2", "3"), values("1", "2", "3")
+FLOATS = values("0", "0.01", "0.5", "2", "inf", "1e308")
+THREADS = values("0", "1", "2", "4")  # never more than 4 worker threads
+DATA = ("{data}", "{data}", "{data}", "{missing}", "{malformed}")
+SWITCH = (None,)  # an option that takes no value
+
+# per command, each option and the values drawn for it; ALWAYS options are
+# given in every draw, so that a run stays small whatever else is drawn
+OPTIONS = {
+    "simulate": {
+        "--setting": ("uniform", "mixture", "other"), "--sigma-eps": ("identity", "structured"),
+        "--target-norm": FLOATS, "--burn-in": INTS, "--seed": INTS,
+    },
+    "fit": {"--d": SMALL, "--no-demean": SWITCH, "--threads": THREADS},
+    "select": {
+        "--d": SMALL, "--K": SMALL, "--Cn": ("loglog", *FLOATS), "--L": SMALL,
+        "--joint": SWITCH, "--penalty-multiplier": FLOATS, "--include-zero": SWITCH,
+        "--no-demean": SWITCH, "--threads": THREADS,
+    },
+    "autocov": {
+        "--lag": values("0", "1", "39", "40"), "--r": INTS, "--t": FLOATS, "--seed": INTS,
+        "--method": ("sample", "banded", "thresholded", "x"),
+    },
+    "forecast": {
+        "--model": ("{model}", "{model}", "{missing}", "{data}"), "--k": INTS, "--K": SMALL,
+        "--d": SMALL, "--h": SMALL, "--holdout": values("1", "5", "39", "40"),
+        "--refit": SWITCH, "--metric": ("absolute", "squared"), "--period": values("1", "4", "50"),
+        "--include-zero": SWITCH, "--no-demean": SWITCH, "--demean": SWITCH,
+        "--threads": THREADS,
+    },
+    "order": {
+        "--strategy": ("ns", "we,nwse,swne", "anchor:3", "", ",", "anchor:9", "anchor:x", "x"),
+        "--d": SMALL, "--K": SMALL, "--Cn": ("loglog", *FLOATS), "--include-zero": SWITCH,
+        "--no-demean": SWITCH, "--threads": THREADS,
+    },
+    "bench": {
+        "--k0": values("0", "1", "1,2"), "--K": SMALL, "--q": values("1", "2"), "--seed": INTS,
+        "--threads": THREADS,
+    },
+}
+ALWAYS = {
+    "simulate": {"--p": values("7", "4", "1"), "--n": values("30", "3", "1"), "--k0": INTS},
+    "fit": {"--data": DATA, "--k": INTS},
+    "select": {"--data": DATA},
+    "autocov": {"--data": DATA, "--q": values("1", "3")},
+    "forecast": {"--data": DATA},
+    "order": {"--data": DATA, "--coords": ("{coords}", "{coords}", "{missing}", "{data}")},
+    "bench": {
+        "--table": ("t4", "t1", "t2", "t3", "t7", "t9"), "--p": values("16", "7", "5,7", ","),
+        "--n": values("40", "5"), "--reps": values("1", "2"),
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("argv")
+    out = simulate_panel(tmp, p=4, n=40, k0=1, seed=21)
+    assert run("fit", "--data", f"{out}.csv", "--k", 1, "--out", tmp / "fit") == 0
+    (tmp / "coords.csv").write_text("label,x,y\ny1,0,1\ny2,1,1\ny3,2,0\ny4,3,2\n")
+    (tmp / "bad.csv").write_text("y1,y2\n1,2\n3\n")
+    return {
+        "data": f"{out}.csv", "model": tmp / "fit.model.json", "coords": tmp / "coords.csv",
+        "malformed": tmp / "bad.csv", "missing": tmp / "none.csv", "out": tmp / "out",
+        "out_in_missing_dir": tmp / "none" / "out",
+    }
+
+
+class TestAnyArgv:
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(draw=st.data())
+    def test_main_returns_an_exit_code_and_raises_nothing(self, argv_files, command, draw):
+        given = draw.draw(
+            st.fixed_dictionaries(
+                {flag: st.sampled_from(v) for flag, v in ALWAYS[command].items()},
+                optional={flag: st.sampled_from(v) for flag, v in OPTIONS[command].items()},
+            )
+        )
+        out = draw.draw(st.sampled_from(("{out}", "{out_in_missing_dir}")))
+        argv = [command, "--out", out]
+        for flag, value in given.items():
+            argv += [flag] if value is None else [flag, value]
+        assert main([a.format(**argv_files) for a in argv]) in (0, 1, 2)

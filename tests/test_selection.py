@@ -197,6 +197,11 @@ class TestRssSurface:
         )
         assert np.abs(surface.rss / direct - 1.0).max() < 1e-6
 
+    def test_search_bound_above_p_minus_one_names_it(self):
+        ts = TimeSeries(substream(13, "x").standard_normal((12, 40)))
+        with pytest.raises(ValueError, match=r"search bound K=500 exceeds p - 1 = 11"):
+            rss_surface(ts, d=1, K=500)
+
     def test_series_too_short_names_row(self):
         # row 0 has 2 regressors at K=1 and fits; interior row 1 needs n > 4
         ts = TimeSeries(substream(13, "x").standard_normal((3, 4)))
