@@ -56,7 +56,6 @@ from .selection import (
     OrderingScore,
     SelectionTrace,
     joint_bic_select,
-    marginal_bic,
     ordering_candidates,
     ordering_score,
     select_bandwidth,

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autocov import _bootstrap_select, band, hard_threshold, sample_autocov
+from .autocov import estimate_autocov, sample_autocov
 from .estimation import _parallel_map, fit_banded_var
 from .forecast import predict
 from .linalg import l1_norm, spectral_norm
-from .model import _var1_variance
+from .model import theoretical_autocov_var1
 from .rng import substream
 from .selection import (
     joint_bic_from_surface,
@@ -174,26 +174,19 @@ def autocov_error_cell(
         model, ts = _draw_and_simulate(
             "uniform", p, k0, n, seed, rep, sigma=sigma, target_norm=target_norm
         )
-        a, sigma0 = _var1_variance(model)
         out = {}
         for j in lags:
-            truth = sigma0 @ np.linalg.matrix_power(a.T, j) if j else sigma0
-            sample = sample_autocov(ts, j)
-            pick_r, pick_t = (
-                _bootstrap_select(
-                    ts, j, sample, None, q, substream(seed, "bootstrap", rep, j, kind), None, kind
-                ).argmin
-                for kind in ("band", "threshold")
+            truth = theoretical_autocov_var1(model, j)
+            banded, thresh = (
+                estimate_autocov(ts, j, method, q=q, rng=substream(seed, "bootstrap", rep, j, kind))
+                for method, kind in (("banded", "band"), ("thresholded", "threshold"))
             )
-            banded = band(sample, int(pick_r))
-            thresh = hard_threshold(sample, float(pick_t))
+            estimates = (banded.matrix, thresh.matrix, sample_autocov(ts, j))
             out[j] = {
-                "banding": (l1_norm(banded - truth), spectral_norm(banded - truth)),
-                "thresholding": (l1_norm(thresh - truth), spectral_norm(thresh - truth)),
-                "sample": (l1_norm(sample - truth), spectral_norm(sample - truth)),
-                "r": int(pick_r),
-                "t": float(pick_t),
+                name: (l1_norm(est - truth), spectral_norm(est - truth))
+                for name, est in zip(("banding", "thresholding", "sample"), estimates)
             }
+            out[j]["r"], out[j]["t"] = banded.tuning["r"], thresh.tuning["t"]
         return out
 
     results = _parallel_map(job, range(reps), threads)

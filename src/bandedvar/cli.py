@@ -15,6 +15,8 @@ import csv
 import math
 import sys
 
+from numpy.linalg import LinAlgError
+
 from . import __version__
 from .autocov import estimate_autocov
 from .bench import BENCH_TABLES
@@ -373,12 +375,10 @@ def main(argv=None) -> int:
             command=[args.command], config=config, seed=getattr(args, "seed", None),
             outputs=outputs, version=__version__,
         ).write(f"{args.out}.manifest.json")
-    except (OSError, ValueError, DataFormatError) as exc:
+    except (OSError, ValueError, BandedVarError) as exc:
         print(f"bandedvar: {exc}", file=sys.stderr)
-        return 1
-    except BandedVarError as exc:
-        print(f"bandedvar: {exc}", file=sys.stderr)
-        return 2
+        numerical = isinstance(exc, (LinAlgError, BandedVarError))  # LinAlgError is a ValueError
+        return 2 if numerical and not isinstance(exc, DataFormatError) else 1
     return 0
 
 

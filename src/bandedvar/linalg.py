@@ -8,6 +8,8 @@ array is always an explicit call, never implicit. Dense matrices are plain
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import eigvals_banded as _eigvals_banded
 from scipy.linalg import eigvalsh as _eigvalsh
@@ -194,9 +196,34 @@ def spectral_norm(m) -> float:
     formed from the packed columns and its top eigenvalue comes from the
     banded symmetric eigensolver, whose band reduction costs O(p^2 k) instead
     of the dense O(p^3).
+
+    An input whose largest |entry| lies outside (2^-400, 2^400) is first
+    scaled by a power of two, which is exact, so that its Gram matrix neither
+    overflows nor underflows; other inputs are used as they are, uncopied.
     """
-    if isinstance(m, BandedMatrix):
-        a, p, k = m._packed, m.p, m.k
+    banded = isinstance(m, BandedMatrix)
+    if not banded:
+        m = np.asarray(m, dtype=float)
+        if m.ndim != 2:
+            raise ValueError("input must be 2-D")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("entries must be finite")
+        if m.size == 0:
+            return 0.0
+    a = m._packed if banded else m
+    big = max(a.max(), -a.min())
+    if big and not 2.0**-400 < big < 2.0**400:
+        e = int(np.frexp(big)[1])
+        if banded:
+            m = BandedMatrix(m.p, m.k, [np.ldexp(d, -e) for d in m.diagonals])
+        else:
+            m = np.ldexp(m, -e)
+        try:
+            return math.ldexp(spectral_norm(m), e)
+        except OverflowError:  # the norm itself is beyond the largest float
+            return math.inf
+    if banded:
+        p, k = m.p, m.k
         u = min(2 * k, p - 1)
         # G[i, i + o] is the dot product of columns i and i + o of A, which
         # share packed rows o..2k of column i and 0..2k-o of column i + o
@@ -207,13 +234,6 @@ def spectral_norm(m) -> float:
             g[u - o, o:] = (a[o:, : p - o] * a[: 2 * k + 1 - o, o:]).sum(axis=0)
         lam = _eigvals_banded(g, select="i", select_range=(p - 1, p - 1), check_finite=False)[0]
         return float(np.sqrt(max(lam, 0.0)))
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("input must be 2-D")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("entries must be finite")
-    if m.size == 0:
-        return 0.0
     g = m.T @ m if m.shape[1] <= m.shape[0] else m @ m.T
     top = g.shape[0] - 1
     # numpy forms the Gram matrix with syrk and mirrors it, so it is exactly

@@ -1,9 +1,9 @@
 """Model containers and implied second moments.
 
 Holds the banded VAR model (order d, bandwidth parameter k0, coefficient
-matrices A_1..A_d, optional innovation covariance), the observed panel, the
-companion-form stationarity check, and the implied autocovariances of
-first-order models. Their variance sums the series
+matrices A_1..A_d, innovation covariance or None for identity), the observed
+panel, the companion-form stationarity check, and the implied autocovariances
+of first-order models. Their variance sums the series
 sigma_eps + sum_i A^i sigma_eps (A^T)^i by doubling to machine precision, and
 the truncation gap uses the exact tail A^(r+1) sigma0 (A^(r+1))^T.
 """
@@ -92,7 +92,10 @@ class BandedVarModel:
 
     Every coefficient matrix is banded with bandwidth parameter at most
     ``k0``. ``sigma_eps``, when present, must be symmetric positive
-    semi-definite. Instances are immutable.
+    semi-definite; None means identity innovations, which is how simulation
+    and the implied autocovariances read it. Fitted models carry None, so
+    their implied autocovariances assume unit innovations. Instances are
+    immutable.
     """
 
     __slots__ = ("p", "d", "k0", "coeffs", "sigma_eps")
@@ -119,18 +122,11 @@ class BandedVarModel:
             sigma_eps = np.array(sigma_eps, dtype=float)
             if sigma_eps.shape != (p, p):
                 raise ValueError(f"sigma_eps must be {p} x {p}")
-            diag = np.diagonal(sigma_eps)
-            if np.count_nonzero(sigma_eps) == np.count_nonzero(diag):
-                # a diagonal matrix is symmetric and its eigenvalues are exactly
-                # its diagonal: no p x p temporaries
-                lowest = diag.min()
-            else:
-                diff = sigma_eps - sigma_eps.T
-                asym = np.abs(diff, out=diff).max()
-                if asym > 1e-12:
-                    raise ValueError(f"sigma_eps asymmetry {asym:.3e} exceeds 1e-12")
-                lowest = np.linalg.eigvalsh(sigma_eps).min()
-            if lowest < -1e-10:
+            diff = sigma_eps - sigma_eps.T
+            asym = np.abs(diff, out=diff).max()
+            if asym > 1e-12:
+                raise ValueError(f"sigma_eps asymmetry {asym:.3e} exceeds 1e-12")
+            if np.linalg.eigvalsh(sigma_eps).min() < -1e-10:
                 raise ValueError("sigma_eps has an eigenvalue below -1e-10")
             sigma_eps.flags.writeable = False
         object.__setattr__(self, "p", p)
@@ -209,17 +205,19 @@ def is_stationary(model: BandedVarModel, margin: float = 1e-6) -> bool:
     roots add a few eps relative each, covered by asking for a sum below
     1 - 4 d eps.
 
-    When the certificate fails (near-unit or non-normal models), the answer
-    comes from the dense companion eigenvalues, as it always did; it is then
-    unchanged on every input where that dense check is itself reliable.
+    When the certificate fails (near-unit or non-normal models, or a bound
+    that overflows to inf), the answer comes from the dense companion
+    eigenvalues, as it always did; it is then unchanged on every input where
+    that dense check is itself reliable.
     """
     c = 1.0 - margin
     if c > 0:
-        eps = np.finfo(float).eps
+        eps = float(np.finfo(float).eps)  # Python floats overflow to inf silently
         total = 0.0
         for ell, a in enumerate(model.coeffs, start=1):
             w = sum(float(np.abs(diag).max()) for diag in a.diagonals)
-            lam = spectral_norm(a) ** 2 + 2 * (a.p + a.k + 1) * eps * w * w
+            norm = spectral_norm(a)  # norm ** 2 would raise on overflow
+            lam = norm * norm + 2 * (a.p + a.k + 1) * eps * w * w
             total += np.sqrt(lam) * c ** (-ell)
         if total < 1.0 - 4 * model.d * eps:
             return True
@@ -228,7 +226,7 @@ def is_stationary(model: BandedVarModel, margin: float = 1e-6) -> bool:
 
 def _var1_variance(model: BandedVarModel):
     """Coefficient matrix A and variance sigma0 = sum_i A^i sigma_eps (A^T)^i
-    of a stationary first-order model.
+    of a stationary first-order model (sigma_eps None: the identity).
 
     The series is summed by Smith doubling: with S the first m summands,
     S + A^m S (A^m)^T is the first 2m. The rest of the series after m
@@ -241,12 +239,10 @@ def _var1_variance(model: BandedVarModel):
             f"unsupported order d={model.d}: implied autocovariances are "
             "available for first-order models only"
         )
-    if model.sigma_eps is None:
-        raise ValueError("model has no innovation covariance")
     if not is_stationary(model):
         raise NonStationaryError("model is not stationary; the series diverges")
     a = model.coeffs[0].to_dense()
-    sigma0 = np.array(model.sigma_eps)
+    sigma0 = np.eye(model.p) if model.sigma_eps is None else np.array(model.sigma_eps)
     apow = a
     while frobenius_norm(apow) ** 2 > np.finfo(float).eps:
         sigma0 += apow @ sigma0 @ apow.T
@@ -261,7 +257,9 @@ def theoretical_autocov_var1(model: BandedVarModel, j: int = 0) -> np.ndarray:
     The variance is the full series sigma_eps + sum_i A^i sigma_eps (A^T)^i
     (to machine precision, see :func:`_var1_variance`); lag j > 0
     post-multiplies it by (A^T)^j, matching the orientation the lag-j sample
-    autocovariance estimates.
+    autocovariance estimates. A model without ``sigma_eps`` has identity
+    innovations; for a fitted model that means unit innovation variances,
+    not its residual covariance.
     """
     if j < 0:
         raise ValueError("lag must be non-negative")

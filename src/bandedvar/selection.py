@@ -40,7 +40,6 @@ __all__ = [
     "OrderingScore",
     "default_penalty_const",
     "rss_surface",
-    "marginal_bic",
     "select_bandwidth",
     "select_bandwidth_from_surface",
     "select_bandwidth_and_order",
@@ -107,14 +106,13 @@ def rss_surface(
     )
 
 
-def _require_positive_rss(row_min, rows=None) -> None:
+def _require_positive_rss(row_min) -> None:
     """Raise if an equation's smallest RSS is zero: its log, and so the
-    criterion, is undefined. ``rows`` names the entries (default 0, 1, ...)."""
+    criterion, is undefined."""
     bad = np.nonzero(np.asarray(row_min) <= 0.0)[0]
     if bad.size:
-        row = int(bad[0]) if rows is None else rows[int(bad[0])]
         raise BandedVarError(
-            f"row {row} has zero residual sum of squares; the "
+            f"row {int(bad[0])} has zero residual sum of squares; the "
             "criterion is undefined (exact fit or degenerate data)"
         )
 
@@ -211,24 +209,6 @@ def select_bandwidth(
     """
     surface = rss_surface(ts, d=d, K=K, include_zero=include_zero, threads=threads)
     return select_bandwidth_from_surface(surface, cn=cn, penalty_multiplier=penalty_multiplier)
-
-
-def marginal_bic(
-    ts: TimeSeries,
-    i: int,
-    k: int,
-    d: int = 1,
-    cn: float | None = None,
-    penalty_multiplier: float = 1.0,
-) -> float:
-    """Criterion value of a single equation at one trial bandwidth."""
-    if cn is None:
-        cn = default_penalty_const(ts.n)
-    r = _row_qr(ts.values, i, k, d)
-    rss = float(r[-1, -1] ** 2)
-    _require_positive_rss([rss], rows=[i])
-    count = row_regressor_count(i, k, d, ts.p)
-    return math.log(rss) + _penalty(penalty_multiplier * d, count, ts.n, ts.p, cn)
 
 
 def select_bandwidth_and_order(

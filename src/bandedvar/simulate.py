@@ -104,20 +104,12 @@ def gen_sigma_eps_structured(p: int) -> np.ndarray:
     diagonal and 0.8 on the first off-diagonals. Banded with half-width 2."""
     if p < 2:
         raise ValueError("structured covariance needs p >= 2")
-    b = 0.6 * np.eye(p)
+    b = np.diag(np.full(p, 0.6))
     idx = np.arange(p - 1)
     b[idx, idx + 1] = 0.8
     b[idx + 1, idx] = 0.8
     b[0, 0] = 1.0
     return b @ b.T
-
-
-def _innovation_factor(sigma: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(sigma)
-        return v * np.sqrt(np.clip(w, 0.0, None))
 
 
 def simulate_var(
@@ -139,20 +131,15 @@ def simulate_var(
         )
     if rng is None:
         rng = substream(0, "innovations")
-    p, d = model.p, model.d
-    sigma = model.sigma_eps
     total = burn_in + n
-    out = rng.standard_normal((p, total))  # innovations, updated in place
-    if sigma is not None:
-        diag = np.diagonal(sigma)
-        if np.count_nonzero(sigma) == np.count_nonzero(diag) and (diag > 0).all():
-            # The Cholesky factor of a positive diagonal is diag(sqrt(d)) exactly,
-            # and each entry of factor @ z is one rounded product plus exact
-            # zeros, so scaling the rows gives the same bits without the p x p
-            # factor and the matrix product.
-            out *= np.sqrt(diag)[:, None]
-        else:
-            out = _innovation_factor(sigma) @ out
+    out = rng.standard_normal((model.p, total))  # innovations, updated in place
+    if model.sigma_eps is not None:
+        try:
+            factor = np.linalg.cholesky(model.sigma_eps)
+        except np.linalg.LinAlgError:  # semi-definite: a square root from the spectrum
+            w, v = np.linalg.eigh(model.sigma_eps)
+            factor = v * np.sqrt(np.clip(w, 0.0, None))
+        out = factor @ out
     for t in range(total):
         for ell, a in enumerate(model.coeffs[:t], start=1):
             out[:, t] += a.matvec(out[:, t - ell])
@@ -169,7 +156,7 @@ def _draw_model(setting, p, k0, rng, target_norm=None, sigma=None) -> BandedVarM
         a = gen_coeff_mixture(p, k0, rng, target_norm)
     else:
         raise ValueError(f"unknown setting {setting!r}")
-    return BandedVarModel(p, 1, k0, [a], np.eye(p) if sigma is None else sigma)
+    return BandedVarModel(p, 1, k0, [a], sigma)
 
 
 def make_model(config: SimConfig) -> BandedVarModel:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandedvar import DataFormatError, TimeSeries, fit_banded_var, predict
+from bandedvar import DataFormatError, TimeSeries, cli, fit_banded_var, predict
 from bandedvar.cli import build_parser, main
 from bandedvar.io import (
     _read_timeseries_lines,
@@ -67,6 +67,12 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert "k0" in capsys.readouterr().err
+
+    def test_extreme_target_norm_exit_code_two(self, tmp_path, capsys):
+        code = run("simulate", "--p", 6, "--n", 40, "--k0", 1, "--target-norm", "1e200",
+                   "--out", tmp_path / "x")
+        assert code == 2
+        assert "non-stationary" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self):
         assert run("simulate", "--p", "10") == 1  # missing required flags
@@ -141,6 +147,18 @@ class TestFitAndForecast:
         code = run("fit", "--data", tmp_path / "dup.csv", "--k", 1, "--out", tmp_path / "f")
         assert code == 2
         assert "rows" in capsys.readouterr().err
+
+    def test_linalg_error_exit_code_two(self, tmp_path, capsys, monkeypatch):
+        # numpy's LinAlgError is a ValueError, yet a numerical failure
+        out = simulate_panel(tmp_path, p=6, n=40, k0=1)
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("stub eigensolver failure")
+
+        monkeypatch.setattr(cli, "fit_banded_var", fail)
+        code = run("fit", "--data", f"{out}.csv", "--k", 1, "--out", tmp_path / "f")
+        assert code == 2
+        assert capsys.readouterr().err == "bandedvar: stub eigensolver failure\n"
 
     def test_period_forecast_adds_seasonal_table_back(self, tmp_path):
         # a level of 100 and a period-12 cycle of amplitude 50 on a simulated panel

@@ -1,5 +1,7 @@
 """Band storage, products and norms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,6 +237,30 @@ class TestSpectralNorm:
         top = g.shape[0] - 1
         lam = eigvalsh(g, subset_by_index=[top, top], check_finite=False)[0]
         assert spectral_norm(m) == float(np.sqrt(max(lam, 0.0)))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_diagonal_banded_matches_dense(self, scale):
+        # unscaled, their Gram entries underflow to 0 or overflow to inf
+        m = np.diag(np.linspace(0.5, 3.0, 7)) * scale
+        banded, dense = spectral_norm(BandedMatrix.from_dense(m, 0)), spectral_norm(m)
+        assert abs(banded - dense) <= 1e-15 * dense
+        assert abs(dense - 3.0 * scale) <= 1e-15 * dense
+
+    @pytest.mark.parametrize("shift", [-900, -500, 500, 1000])
+    def test_power_of_two_scaling_is_exact(self, shift):
+        # largest |entry| in [0.5, 1): an input 2^shift times larger is scaled
+        # back to exactly this matrix, so its norm is exactly 2^shift times
+        dense = random_banded(12, 2, np.random.default_rng(14))
+        dense *= 0.75 / np.abs(dense).max()
+        for m, far in (
+            (dense, np.ldexp(dense, shift)),
+            (BandedMatrix.from_dense(dense, 2), BandedMatrix.from_dense(np.ldexp(dense, shift), 2)),
+        ):
+            assert spectral_norm(far) == math.ldexp(spectral_norm(m), shift)
+
+    def test_norm_beyond_largest_float_is_inf(self):
+        m = np.full((3, 3), 1.5e308)
+        assert spectral_norm(m) == spectral_norm(BandedMatrix.from_dense(m, 2)) == math.inf
 
 
 class TestSpectralRadius:

@@ -70,14 +70,13 @@ class TestContainers:
 
     @pytest.mark.parametrize("low, ok", [(-1e-9, False), (-1e-11, True), (0.0, True)])
     def test_diagonal_sigma_threshold(self, low, ok):
-        # a diagonal sigma is judged by its diagonal, at the eigenvalue threshold
+        # a diagonal sigma's eigenvalues are its diagonal, judged at the threshold
         a = [BandedMatrix.zeros(3, 0)]
-        with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError):
-            if ok:
+        if ok:
+            BandedVarModel(3, 1, 0, a, np.diag([1.0, low, 2.0]))
+        else:
+            with pytest.raises(ValueError, match="eigenvalue below -1e-10"):
                 BandedVarModel(3, 1, 0, a, np.diag([1.0, low, 2.0]))
-            else:
-                with pytest.raises(ValueError, match="eigenvalue below -1e-10"):
-                    BandedVarModel(3, 1, 0, a, np.diag([1.0, low, 2.0]))
 
     def test_non_diagonal_sigma_uses_eigenvalues(self):
         # PSD check on the spectrum, not the diagonal: [[1, 2], [2, 1]] has eigenvalue -1
@@ -92,6 +91,11 @@ class TestContainers:
         assert back.p == 6 and back.d == 1 and back.k0 == 2
         assert np.array_equal(back.coeffs[0].to_dense(), model.coeffs[0].to_dense())
         assert np.array_equal(back.sigma_eps, model.sigma_eps)
+
+    def test_json_without_sigma_loads_as_identity(self):
+        doc = make_model(SimConfig(p=6, n=10, k0=1, seed=2)).to_dict()
+        assert "sigma_eps" not in doc
+        assert BandedVarModel.from_dict(doc).sigma_eps is None
 
     def test_json_load_revalidates_band(self):
         doc = {
@@ -251,14 +255,27 @@ class TestTheoreticalAutocov:
         empirical = sample_autocov(ts, 1)
         assert frobenius_norm(empirical - sigma1) <= 0.05 * frobenius_norm(sigma1)
 
+    def test_no_sigma_is_the_identity_bit_for_bit(self):
+        a = gen_coeff_uniform(10, 2, substream(20, "coeffs"), target_norm=0.7)
+        none, eye = (BandedVarModel(10, 1, 2, [a], sigma) for sigma in (None, np.eye(10)))
+        for j in (0, 1, 3):
+            assert np.array_equal(
+                theoretical_autocov_var1(none, j), theoretical_autocov_var1(eye, j)
+            )
+            assert banded_approximation_gap(none, j, 2) == banded_approximation_gap(eye, j, 2)
+
     def test_errors(self):
         with pytest.raises(NonStationaryError):
             theoretical_autocov_var1(scaled_identity_model(2, 1.2))
         two = BandedVarModel(2, 2, 0, [BandedMatrix.zeros(2, 0)] * 2, np.eye(2))
         with pytest.raises(BandedVarError, match="order"):
             theoretical_autocov_var1(two)
-        with pytest.raises(ValueError, match="innovation covariance"):
-            theoretical_autocov_var1(BandedVarModel(2, 1, 0, [BandedMatrix.zeros(2, 0)]))
+        # no innovation covariance means identity innovations
+        coeff = [BandedMatrix.from_dense(0.5 * np.eye(2), 0)]
+        assert np.array_equal(
+            theoretical_autocov_var1(BandedVarModel(2, 1, 0, coeff)),
+            theoretical_autocov_var1(BandedVarModel(2, 1, 0, coeff, np.eye(2))),
+        )
         with pytest.raises(ValueError, match="lag"):
             theoretical_autocov_var1(scaled_identity_model(2, 0.5), -1)
 

@@ -14,7 +14,6 @@ from bandedvar import (
     TimeSeries,
     gen_coeff_uniform,
     joint_bic_select,
-    marginal_bic,
     ordering_candidates,
     ordering_score,
     select_bandwidth,
@@ -66,7 +65,7 @@ class TestMarginalBic:
         n, p = 200, 100
         ts = TimeSeries(substream(0, "wn").standard_normal((p, n)))
         i, k = 50, 2
-        value = marginal_bic(ts, i, k)
+        value = select_bandwidth(ts, K=2).bic[i, k - 1]
         _, rss = direct_fit(ts, i, k, 1)
         expected_penalty = (
             (1.0 / n) * 1 * 5 * math.log(math.log(n)) * math.log(max(p, n))

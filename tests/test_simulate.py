@@ -19,7 +19,7 @@ from bandedvar import (
     theoretical_autocov_var1,
 )
 from bandedvar.rng import substream
-from bandedvar.simulate import run_simulation
+from bandedvar.simulate import make_model, run_simulation
 
 
 def out_of_band_mask(p, k):
@@ -204,6 +204,16 @@ class TestSimConfig:
     def test_dimension_vs_band(self):
         with pytest.raises(ValueError, match="2 k0"):
             SimConfig(p=4, n=50, k0=2, seed=0)
+
+    def test_identity_kind_stores_no_matrix(self):
+        assert make_model(SimConfig(p=12, n=64, k0=1, seed=21)).sigma_eps is None
+
+    @pytest.mark.parametrize("target_norm", [1e160, 1e200, 1e300])
+    def test_extreme_target_norm_is_non_stationary(self, target_norm):
+        # the norm's square overflows, so the certificate fails and the
+        # companion eigenvalues answer
+        with pytest.raises(NonStationaryError):
+            run_simulation(SimConfig(p=6, n=40, k0=1, seed=0, target_norm=target_norm))
 
     def test_run_simulation_shapes(self):
         model, ts = run_simulation(
