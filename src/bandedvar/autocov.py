@@ -16,8 +16,10 @@ No cut replicate is formed: with D = |S* - S| - |S|, a cut's column c sums to
 sum_i |S_ic| plus D over the entries it keeps. Banding needs only the diagonals
 |o| <= max(grid) of S*, one (p - |o|) x n x q product each, and a running column
 sum of D scores every half-width: O(p r_max n q) in all. Thresholding forms each
-replicate (O(p^2 n)), bins its entries by the number of cutoffs below |S*|, sums
-D per (column, bin) and scores all G cutoffs from one suffix sum: O(p^2 log G).
+replicate (O(p^2 n)) into work arrays made once per call, bins its entries by
+the number of cutoffs below |S*| (estimated from the mean cutoff spacing and
+bisected where that is off: O(p^2) on the default grid), sums D per (column,
+bin) and scores all G cutoffs from one suffix sum.
 """
 
 from __future__ import annotations
@@ -163,23 +165,62 @@ def _band_risks(left, right, u, n, sample, grid):
     return curve[np.minimum(grid, p - 1).astype(int)]
 
 
+def _cutoff_bins(a, ext, step, bins, cuts, mask):
+    """Set ``bins`` in place to the number of cutoffs strictly below each ``a``.
+
+    ``ext`` is the sorted grid between -inf and +inf sentinels; ``cuts`` and
+    ``mask`` are scratch of ``a``'s shape. The estimate min(ceil(a / step), G)
+    (0 when step is 0) is checked over all entries against the cutoffs on
+    either side of its bin, as ``np.histogram`` bins by uniform edges; the
+    entries where it is off are counted by bisection, so any sorted grid gets
+    the exact count. On the default ``linspace`` grid, fl(a / step) and
+    grid[k] - k * step are within a few ulps, so the estimate is at most one
+    bin off and only entries next to a cutoff are bisected.
+    """
+    if step > 0:
+        with np.errstate(over="ignore"):  # a / step beyond the float range caps at G
+            np.fmin(np.ceil(np.divide(a, step, out=cuts), out=cuts), len(ext) - 2, out=cuts)
+        np.copyto(bins, cuts, casting="unsafe")  # inf lands in bin G
+    else:
+        bins.fill(0)
+    np.greater_equal(np.take(ext, bins, out=cuts, mode="clip"), a, out=mask)
+    high = np.flatnonzero(mask)  # too high: the cutoff below bin b is not below a
+    np.less(np.take(ext[1:], bins, out=cuts, mode="clip"), a, out=mask)
+    idx = np.concatenate([high, np.flatnonzero(mask)])  # or too low: the one above is
+    v, cut, hit = a.reshape(-1)[idx], cuts.reshape(-1)[: idx.size], mask.reshape(-1)[: idx.size]
+    count, probe = np.zeros(idx.size, dtype=np.intp), np.empty(idx.size, dtype=np.intp)
+    half = 1 << (len(ext) - 2).bit_length() - 1  # the largest power of two <= G
+    while half and idx.size:  # probes past G read +inf
+        np.take(ext, np.add(count, half, out=probe), out=cut, mode="clip")
+        count += np.multiply(np.less(cut, v, out=hit), half, out=probe)
+        half >>= 1
+    bins.reshape(-1)[idx] = count
+
+
 def _threshold_risks(left, right, u, n, sample, grid):
     """Every cutoff's risk from per-column sums of D binned by sorted cutoff."""
     p, g = len(sample), grid.size
     order = np.argsort(grid, kind="stable")
+    ext = np.concatenate([[-np.inf], grid[order], [np.inf]])
+    step = ext[-2] / (g - 1) if g > 1 else 0.0
     abs_s = np.abs(sample)
     slot = np.arange(p) * (g + 1)  # bincount index of (column c, bin 0)
+    # work arrays for all replicates; the scratch holds left * w, then the cutoffs
+    star, d, scratch = np.empty((p, p)), np.empty((p, p)), np.empty(max(p * p, left.size))
+    bins, mask = np.empty((p, p), dtype=np.intp), np.empty((p, p), dtype=bool)
+    weighted, cuts = scratch[: left.size].reshape(left.shape), scratch[: p * p].reshape(p, p)
     total = np.zeros(g)
     for w in u:
-        star = (left * w) @ right.T / n
-        d = abs(star - sample) - abs_s  # operators reuse the temporary in place
+        np.matmul(np.multiply(left, w, out=weighted), right.T, out=star)
+        star /= n
+        np.abs(np.subtract(star, sample, out=d), out=d)
+        d -= abs_s
         # bin b = number of cutoffs below |S*|: kept for the sorted cutoffs before b
-        bins = np.searchsorted(grid[order], np.abs(star, out=star), side="left")
+        _cutoff_bins(np.abs(star, out=star), ext, step, bins, cuts, mask)
         bins += slot
         sums = np.bincount(bins.ravel(), d.ravel(), minlength=p * (g + 1))
         kept = np.cumsum(sums.reshape(p, g + 1)[:, :0:-1], axis=1)[:, ::-1]
         total += (abs_s.sum(axis=0)[:, None] + kept).max(axis=0)
-        del star, d, bins  # free before the next replicate allocates its own
     return (total / len(u))[np.argsort(order)]
 
 
@@ -210,9 +251,13 @@ class AutocovEstimate:
     matrix: np.ndarray
     method: str  # sample | banded | thresholded
     tuning: dict
+    risk: BootstrapRisk | None = None  # the risk curve when the bootstrap chose
 
     def meta_dict(self) -> dict:
-        return {"method": self.method, "lag": int(self.j), "tuning": self.tuning}
+        meta = {"method": self.method, "lag": int(self.j), "tuning": self.tuning}
+        if self.risk is not None:
+            meta["risk"] = self.risk.to_dict()
+        return meta
 
 
 def estimate_autocov(
@@ -228,7 +273,8 @@ def estimate_autocov(
 
     Banding uses an explicit half-width ``r`` when given, otherwise the
     bootstrap selection; thresholding works the same way with ``t``. The
-    returned estimate records which tuning path was taken.
+    returned estimate records which tuning path was taken and, when the
+    bootstrap chose, its risk curve.
     """
     sample = sample_autocov(ts, j)
     if method == "sample":
@@ -239,10 +285,11 @@ def estimate_autocov(
     key, value = ("r", r) if banding else ("t", t)
     if value is None:
         kind = "band" if banding else "threshold"
-        value = _bootstrap_select(ts, j, sample, None, q, rng, None, kind).argmin
+        risk = _bootstrap_select(ts, j, sample, None, q, rng, None, kind)
+        value = risk.argmin
         tuning = {key: value, "selected_by": "bootstrap", "q": q}
     else:
-        value = int(value) if banding else float(value)
+        value, risk = int(value) if banding else float(value), None
         tuning = {key: value, "selected_by": "fixed"}
     matrix = band(sample, value) if banding else hard_threshold(sample, value)
-    return AutocovEstimate(j=j, matrix=matrix, method=method, tuning=tuning)
+    return AutocovEstimate(j=j, matrix=matrix, method=method, tuning=tuning, risk=risk)

@@ -294,20 +294,10 @@ def table3_rows(ps, k0s, n=200, reps=100, K=15, seed=0, threads=1):
             cell = estimation_error_cell(
                 "uniform", p, k0, n=n, reps=reps, K=K, seed=seed, threads=threads
             )
-            rows.append(
-                {
-                    "p": p,
-                    "k0": k0,
-                    "estimated_l1_mean": cell["estimated_l1"]["mean"],
-                    "estimated_l1_sd": cell["estimated_l1"]["sd"],
-                    "estimated_l2_mean": cell["estimated_l2"]["mean"],
-                    "estimated_l2_sd": cell["estimated_l2"]["sd"],
-                    "true_l1_mean": cell["true_l1"]["mean"],
-                    "true_l1_sd": cell["true_l1"]["sd"],
-                    "true_l2_mean": cell["true_l2"]["mean"],
-                    "true_l2_sd": cell["true_l2"]["sd"],
-                }
-            )
+            row = {"p": p, "k0": k0}
+            for name in ("estimated_l1", "estimated_l2", "true_l1", "true_l2"):
+                row[f"{name}_mean"], row[f"{name}_sd"] = cell[name]["mean"], cell[name]["sd"]
+            rows.append(row)
     return rows
 
 
@@ -321,20 +311,11 @@ def table4_rows(ps, k0s, n=200, reps=100, q=100, seed=0, target_norm=0.8, thread
             )
             for j in sorted(k for k in cell if isinstance(k, int)):
                 for norm in ("l1", "l2"):
-                    rows.append(
-                        {
-                            "p": p,
-                            "k0": k0,
-                            "lag": j,
-                            "norm": norm,
-                            "banding_mean": cell[j]["banding"][f"{norm}_mean"],
-                            "banding_sd": cell[j]["banding"][f"{norm}_sd"],
-                            "thresholding_mean": cell[j]["thresholding"][f"{norm}_mean"],
-                            "thresholding_sd": cell[j]["thresholding"][f"{norm}_sd"],
-                            "sample_mean": cell[j]["sample"][f"{norm}_mean"],
-                            "sample_sd": cell[j]["sample"][f"{norm}_sd"],
-                        }
-                    )
+                    row = {"p": p, "k0": k0, "lag": j, "norm": norm}
+                    for method in ("banding", "thresholding", "sample"):
+                        for stat in ("mean", "sd"):
+                            row[f"{method}_{stat}"] = cell[j][method][f"{norm}_{stat}"]
+                    rows.append(row)
     return rows
 
 

@@ -21,7 +21,12 @@ from bandedvar import (
     simulate_var,
     theoretical_autocov_var1,
 )
-from bandedvar.autocov import default_band_grid, default_threshold_grid
+from bandedvar.autocov import (
+    _cutoff_bins,
+    _threshold_risks,
+    default_band_grid,
+    default_threshold_grid,
+)
 from bandedvar.rng import substream
 
 
@@ -266,6 +271,25 @@ class TestEstimateAutocov:
         assert est.tuning["selected_by"] == "bootstrap"
         assert "t" in est.tuning
 
+    @pytest.mark.parametrize("method, kind", [("banded", "band"), ("thresholded", "threshold")])
+    def test_bootstrap_keeps_risk_curve(self, method, kind):
+        _, ts = table4_style_panel(12, 90, seed=16)
+        est = estimate_autocov(ts, 1, method=method, q=5, rng=substream(16, "bootstrap"))
+        select = bootstrap_select_band if kind == "band" else bootstrap_select_threshold
+        risk = select(ts, 1, q=5, rng=substream(16, "bootstrap"))
+        assert est.risk.method == kind and np.array_equal(est.risk.risk, risk.risk)
+        meta = est.meta_dict()
+        assert meta["risk"] == risk.to_dict()
+        assert meta["tuning"] == {"r" if kind == "band" else "t": risk.argmin,
+                                  "selected_by": "bootstrap", "q": 5}
+
+    def test_fixed_tuning_has_no_risk_curve(self):
+        _, ts = table4_style_panel(12, 90, seed=17)
+        for est in (estimate_autocov(ts, 0, method="banded", r=1),
+                    estimate_autocov(ts, 0, method="thresholded", t=0.1),
+                    estimate_autocov(ts, 0, method="sample")):
+            assert est.risk is None and "risk" not in est.meta_dict()
+
     def test_default_grid_spans_rule(self):
         grid = default_band_grid(200, 100)
         assert grid[0] == 0
@@ -346,6 +370,124 @@ class TestRiskMatchesBruteForce:
             assert np.abs(risk.risk - brute).max() <= tol
             # the pick minimises the brute-force curve, up to rounding
             assert brute[list(grid).index(risk.argmin)] <= brute.min() + tol
+
+
+def searchsorted_threshold_risks(left, right, u, n, sample, grid):
+    """The thresholded replicate loop with a binary search per entry, as an oracle."""
+    p, g = len(sample), grid.size
+    order = np.argsort(grid, kind="stable")
+    abs_s = np.abs(sample)
+    slot = np.arange(p) * (g + 1)
+    total = np.zeros(g)
+    for w in u:
+        star = (left * w) @ right.T / n
+        d = abs(star - sample) - abs_s
+        bins = np.searchsorted(grid[order], np.abs(star, out=star), side="left")
+        bins += slot
+        sums = np.bincount(bins.ravel(), d.ravel(), minlength=p * (g + 1))
+        kept = np.cumsum(sums.reshape(p, g + 1)[:, :0:-1], axis=1)[:, ::-1]
+        total += (abs_s.sum(axis=0)[:, None] + kept).max(axis=0)
+    return (total / len(u))[np.argsort(order)]
+
+
+def cutoff_bins(grid, values):
+    """``_cutoff_bins`` over ``values`` with the grid set up as ``_threshold_risks`` does."""
+    sgrid = np.sort(np.asarray(grid, dtype=float))
+    ext = np.concatenate([[-np.inf], sgrid, [np.inf]])
+    step = sgrid[-1] / (sgrid.size - 1) if sgrid.size > 1 else 0.0
+    a = np.asarray(values, dtype=float).reshape(1, -1)
+    bins = np.full(a.shape, -7, dtype=np.intp)
+    _cutoff_bins(a, ext, step, bins, np.empty(a.shape), np.empty(a.shape, dtype=bool))
+    return bins.ravel()
+
+
+def awkward_grid(kind, top, rng):
+    return {
+        "linspace": lambda: np.linspace(0.0, top, 21),
+        "zeros": lambda: np.zeros(21),
+        "duplicates": lambda: np.repeat(np.linspace(0.0, top, 6), [2, 1, 3, 1, 1, 4]),
+        "permuted": lambda: rng.permutation(np.linspace(0.0, top, 21)),
+        "long": lambda: np.linspace(0.0, 1.1 * top, 90),
+        "single": lambda: np.array([top]),
+        "geometric": lambda: np.append(0.0, top * 2.0 ** -np.arange(20)),
+        "bunched": lambda: np.append(0.0, np.linspace(0.9 * top, top, 30)),
+    }[kind]()
+
+
+class TestCutoffBins:
+    """Arithmetic binning of |S*| equals a binary search over the sorted cutoffs."""
+
+    @settings(max_examples=300)
+    @given(
+        kind=st.sampled_from(
+            ["linspace", "zeros", "duplicates", "permuted", "long", "single", "geometric",
+             "bunched"]
+        ),
+        top=st.one_of(st.floats(1e-300, 1e300), st.sampled_from([5e-324, 1.0, 0.3])),
+        seed=st.integers(0, 2**16),
+        extra=st.lists(st.floats(0.0, 1e300), max_size=20),
+    )
+    def test_equals_searchsorted(self, kind, top, seed, extra):
+        grid = awkward_grid(kind, top, substream(seed, "grid"))
+        cuts = np.unique(grid)
+        probes = np.concatenate([
+            cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf),
+            (cuts[:-1] + cuts[1:]) / 2, [0.0, 1.5 * cuts[-1] + 1.0, np.inf], extra,
+        ])
+        probes = probes[probes >= 0]  # |S*| is never negative
+        expected = np.searchsorted(np.sort(grid), probes, side="left")
+        assert np.array_equal(cutoff_bins(grid, probes), expected)
+        step = grid[-1] / 20
+        if kind == "linspace" and step > 0:  # the estimate alone is at most one bin off
+            with np.errstate(over="ignore"):
+                estimate = np.minimum(np.ceil(probes / step), 21)
+            assert np.abs(estimate - expected).max() <= 1
+
+    def test_far_estimate_is_bisected(self):
+        # cutoffs bunched at zero: the evenly spaced estimate is many bins low
+        grid = np.concatenate([np.zeros(30), [1.0]])
+        probes = np.array([1e-9, 0.01, 0.5, 1.0, np.nextafter(1.0, 2.0)])
+        assert cutoff_bins(grid, probes).tolist() == [30, 30, 30, 30, 31]
+
+
+class TestRiskMatchesSearchsorted:
+    """The replicate loop is bitwise the binary-search loop it replaced."""
+
+    @staticmethod
+    def assert_bitwise(ts, j, weights, grids, q=6):
+        n = ts.n
+        xc = ts.values - ts.values.mean(axis=1, keepdims=True)
+        rng = substream(60 + j, "boot")
+        u = np.stack([weights(rng, n - j) for _ in range(q)])
+        sample = sample_autocov(ts, j)
+        for grid in grids(sample):
+            grid = np.asarray(grid, dtype=float)
+            args = (xc[:, : n - j], xc[:, j:], u, n, sample, grid)
+            old = searchsorted_threshold_risks(*args)
+            assert _threshold_risks(*args).tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("j", [0, 1, 3])
+    @pytest.mark.parametrize("weights", [exponential, unit_weights])
+    def test_lags_and_weights(self, j, weights):
+        _, ts = table4_style_panel(40, 70, seed=60 + j)
+
+        def grids(sample):
+            top = float(np.abs(sample).max())
+            rng = substream(60, "grid", j)
+            return [default_threshold_grid(sample)] + [
+                awkward_grid(kind, top, rng)
+                for kind in ("duplicates", "permuted", "long", "geometric", "bunched")
+            ] + [np.unique(np.abs(sample))[::7]]
+
+        self.assert_bitwise(ts, j, weights, grids)
+
+    def test_constant_series(self):
+        ts = TimeSeries(np.full((6, 30), 2.5))
+        for j in (0, 1):
+            grids = lambda s: [default_threshold_grid(s), [0.0, 1.0]]
+            self.assert_bitwise(ts, j, exponential, grids)
+        risk = bootstrap_select_threshold(ts, 0, q=3, rng=1)
+        assert risk.argmin == 0.0 and not risk.risk.any()
 
 
 PINNED = {

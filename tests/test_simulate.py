@@ -180,8 +180,8 @@ class TestSimulateVar:
 
     @pytest.mark.parametrize("kind", ["none", "identity", "diagonal"])
     def test_diagonal_innovations_keep_cholesky_bits(self, kind):
-        # Diagonal covariances scale the draws row by row instead of forming
-        # the Cholesky factor and multiplying; the path keeps its bits.
+        # Every covariance, diagonal or not, takes the Cholesky product, so a
+        # diagonal one gives the bits of its explicit Cholesky factor.
         p, n, burn_in = 30, 20, 10
         coeff = gen_coeff_uniform(p, 2, substream(17, "coeffs"), target_norm=0.6)
         sigma = {"none": None, "identity": np.eye(p),
