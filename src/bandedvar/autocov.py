@@ -18,7 +18,7 @@ sum_i |S_ic| plus D over the entries it keeps. Banding needs only the diagonals
 sum of D scores every half-width: O(p r_max n q) in all. Thresholding forms each
 replicate (O(p^2 n)) into work arrays made once per call, bins its entries by
 the number of cutoffs below |S*| (estimated from the mean cutoff spacing and
-bisected where that is off: O(p^2) on the default grid), sums D per (column,
+searched where that is off: O(p^2) on the default grid), sums D per (column,
 bin) and scores all G cutoffs from one suffix sum.
 """
 
@@ -171,11 +171,12 @@ def _cutoff_bins(a, ext, step, bins, cuts, mask):
     ``ext`` is the sorted grid between -inf and +inf sentinels; ``cuts`` and
     ``mask`` are scratch of ``a``'s shape. The estimate min(ceil(a / step), G)
     (0 when step is 0) is checked over all entries against the cutoffs on
-    either side of its bin, as ``np.histogram`` bins by uniform edges; the
-    entries where it is off are counted by bisection, so any sorted grid gets
-    the exact count. On the default ``linspace`` grid, fl(a / step) and
-    grid[k] - k * step are within a few ulps, so the estimate is at most one
-    bin off and only entries next to a cutoff are bisected.
+    either side of its bin, as ``np.histogram`` bins by uniform edges; only
+    the entries where it is off are counted by ``np.searchsorted``, so any
+    sorted grid gets the exact count. On the default ``linspace`` grid,
+    fl(a / step) and grid[k] - k * step are within a few ulps, so the
+    estimate is at most one bin off and only entries next to a cutoff are
+    searched.
     """
     if step > 0:
         with np.errstate(over="ignore"):  # a / step beyond the float range caps at G
@@ -187,14 +188,7 @@ def _cutoff_bins(a, ext, step, bins, cuts, mask):
     high = np.flatnonzero(mask)  # too high: the cutoff below bin b is not below a
     np.less(np.take(ext[1:], bins, out=cuts, mode="clip"), a, out=mask)
     idx = np.concatenate([high, np.flatnonzero(mask)])  # or too low: the one above is
-    v, cut, hit = a.reshape(-1)[idx], cuts.reshape(-1)[: idx.size], mask.reshape(-1)[: idx.size]
-    count, probe = np.zeros(idx.size, dtype=np.intp), np.empty(idx.size, dtype=np.intp)
-    half = 1 << (len(ext) - 2).bit_length() - 1  # the largest power of two <= G
-    while half and idx.size:  # probes past G read +inf
-        np.take(ext, np.add(count, half, out=probe), out=cut, mode="clip")
-        count += np.multiply(np.less(cut, v, out=hit), half, out=probe)
-        half >>= 1
-    bins.reshape(-1)[idx] = count
+    bins.reshape(-1)[idx] = np.searchsorted(ext[1:-1], a.reshape(-1)[idx], side="left")
 
 
 def _threshold_risks(left, right, u, n, sample, grid):

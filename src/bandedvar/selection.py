@@ -13,13 +13,13 @@ equations with a single global parameter count, and a two-dimensional variant
 scans (bandwidth, order) jointly when the order is unknown.
 
 Residual sums of squares for all nested bandwidths of one equation come from
-a single QR factorisation (``estimation._row_qr``): columns are ordered by
-distance from the diagonal, so every trial bandwidth is a column prefix, and
-the response rides along as the last column. The RSS of the prefix of width w
-is the tail sum of squares of R's last column from entry w on. It only adds
-squares, so it stays accurate when the series have a large level, unlike
-``y.y`` minus the explained sum of squares. The fit at the chosen bandwidth
-back-solves the same kind of R factor.
+one Cholesky factor L of its augmented Gram matrix (``estimation._gram_blocks``).
+Columns are ordered by distance from the diagonal, with the response last, so
+every trial bandwidth is a column prefix and its RSS is a tail sum of squares
+of L's last row. Ring positions past the panel's edges are inert padding
+columns, so bandwidth k starts its tail at d(2k+1) on every row. Rows a guard
+finds at risk of losing accuracy, such as series with a large level, take the
+factor from one QR per row instead; ``RssSurface.qr_rows`` lists them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandedVarError
-from .estimation import _parallel_map, _row_qr, row_regressor_count
+from .estimation import _gram_blocks, _regressor_counts
 from .model import TimeSeries, _check_permutation
 
 __all__ = [
@@ -65,7 +65,11 @@ def default_max_bandwidth(n: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class RssSurface:
-    """Residual sums of squares of every equation over a bandwidth grid."""
+    """Residual sums of squares of every equation over a bandwidth grid.
+
+    ``qr_rows`` lists the equations whose RSS came from the QR fallback
+    rather than the banded Gram factor (see ``estimation._gram_blocks``).
+    """
 
     ks: tuple
     rss: np.ndarray     # p x len(ks)
@@ -73,6 +77,7 @@ class RssSurface:
     n: int
     p: int
     d: int
+    qr_rows: tuple = ()
 
 
 def rss_surface(
@@ -90,19 +95,17 @@ def rss_surface(
         raise ValueError("search bound K must be at least 1")
     if K > p - 1:
         raise ValueError(f"search bound K={K} exceeds p - 1 = {p - 1}")
-    ks = ([0] if include_zero else []) + list(range(1, K + 1))
-    counts = np.array(
-        [[row_regressor_count(i, k, d, p) for k in ks] for i in range(p)]
-    )
+    ks = np.array(([0] if include_zero else []) + list(range(1, K + 1)))
+    counts = _regressor_counts(p, ks, d)
 
-    def job(i):
-        last = _row_qr(ts.values, i, K, d)[:, -1]
-        tail = np.cumsum(last[::-1] ** 2)[::-1]  # tail[w] = RSS of the width-w prefix
-        return tail[counts[i]]
+    def tails(chol):
+        # padding columns add zeros, so ring position d(2k+1) starts bandwidth k's tail
+        tail = np.cumsum(chol[:, -1, ::-1] ** 2, axis=1)[:, ::-1]
+        return tail[:, d * (2 * ks + 1)]
 
-    rows = _parallel_map(job, range(p), threads)
+    rss, qr_rows = _gram_blocks(ts.values, K, d, tails, len(ks), threads)
     return RssSurface(
-        ks=tuple(ks), rss=np.vstack(rows), counts=counts, n=n, p=p, d=d
+        ks=tuple(ks.tolist()), rss=rss, counts=counts, n=n, p=p, d=d, qr_rows=tuple(qr_rows)
     )
 
 

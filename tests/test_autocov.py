@@ -411,6 +411,7 @@ def awkward_grid(kind, top, rng):
         "single": lambda: np.array([top]),
         "geometric": lambda: np.append(0.0, top * 2.0 ** -np.arange(20)),
         "bunched": lambda: np.append(0.0, np.linspace(0.9 * top, top, 30)),
+        "bunched_long": lambda: np.append(0.0, np.linspace(0.9 * top, top, 89)),
     }[kind]()
 
 
@@ -421,7 +422,7 @@ class TestCutoffBins:
     @given(
         kind=st.sampled_from(
             ["linspace", "zeros", "duplicates", "permuted", "long", "single", "geometric",
-             "bunched"]
+             "bunched", "bunched_long"]
         ),
         top=st.one_of(st.floats(1e-300, 1e300), st.sampled_from([5e-324, 1.0, 0.3])),
         seed=st.integers(0, 2**16),
@@ -476,7 +477,8 @@ class TestRiskMatchesSearchsorted:
             rng = substream(60, "grid", j)
             return [default_threshold_grid(sample)] + [
                 awkward_grid(kind, top, rng)
-                for kind in ("duplicates", "permuted", "long", "geometric", "bunched")
+                for kind in ("duplicates", "permuted", "long", "geometric", "bunched",
+                             "bunched_long")
             ] + [np.unique(np.abs(sample))[::7]]
 
         self.assert_bitwise(ts, j, weights, grids)

@@ -1,9 +1,10 @@
-"""Regressor counts, band columns, whole-model fits."""
+"""Regressor counts, band columns, whole-model fits, the banded Gram factor."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from bandedvar import (
     BandedVarModel,
@@ -14,8 +15,10 @@ from bandedvar import (
     row_regressor_count,
     simulate_var,
 )
-from bandedvar.estimation import band_columns
+from bandedvar import estimation
+from bandedvar.estimation import _ring_offsets, _row_qr, band_columns
 from bandedvar.rng import substream
+from bandedvar.selection import rss_surface
 
 
 def simulated(p, k0, n, seed, d=1):
@@ -167,3 +170,178 @@ class TestBandColumns:
     def test_lag_major_series_ascending(self):
         cols = band_columns(1, 1, 2, 4)
         assert cols == [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+
+
+def qr_surface(values, K, d, ks):
+    """Every row's RSS over ``ks`` as tail sums of one QR per row."""
+    p = values.shape[0]
+    rss = np.empty((p, len(ks)))
+    for i in range(p):
+        last = _row_qr(values, i, K, d)[:, -1]
+        tail = np.cumsum(last[::-1] ** 2)[::-1]
+        rss[i] = [tail[row_regressor_count(i, k, d, p)] for k in ks]
+    return rss
+
+
+def qr_fit(values, i, k, d):
+    """(beta lag-major, RSS) of equation i by back-substitution in its QR factor."""
+    p = values.shape[0]
+    r = _row_qr(values, i, k, d)
+    w = r.shape[0] - 1
+    series = i + _ring_offsets(k)
+    series = series[(series >= 0) & (series < p)]
+    beta = solve_triangular(r[:w, :w], r[:w, w]).reshape(-1, d)[np.argsort(series)]
+    return beta.T.ravel(), r[w, w] ** 2
+
+
+def certified_error(values, i, K, d):
+    """eps (y.y / RSS) m / lam of equation i at bandwidth K, by QR and SVD:
+    the first-order RSS error bound that the Gram path must certify."""
+    p = values.shape[0]
+    r = _row_qr(values, i, K, d)
+    x = r[:-1, :-1] / np.linalg.norm(r[:-1, :-1], axis=0)
+    lam = np.linalg.svd(x, compute_uv=False)[-1] ** 2
+    if row_regressor_count(i, K, d, p) < d * (2 * K + 1):
+        lam = min(lam, 1.0)  # padding columns add unit eigenvalues
+    y = values[i, d:]
+    return np.finfo(float).eps * (y @ y / r[-1, -1] ** 2) * d * (2 * K + 1) / lam
+
+
+def assert_fit_matches_qr(ts, k, d, tol=1e-10):
+    fit = fit_banded_var(ts, k, d)
+    for i in range(ts.p):
+        beta, rss = qr_fit(ts.values, i, k, d)
+        assert np.abs(fit.betas[i] - beta).max() <= tol * np.abs(beta).max()
+        assert abs(fit.rss[i] / rss - 1.0) <= tol
+
+
+class TestGramFactor:
+    """The banded Gram path agrees with one QR per row, and its guard sends
+    exactly the rows it should to that QR."""
+
+    @settings(max_examples=60)
+    @given(
+        data=st.data(),
+        p=st.integers(2, 40),
+        d=st.integers(1, 3),
+        include_zero=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        budget=st.sampled_from([64, estimation._BLOCK_ENTRIES]),
+    )
+    def test_equals_row_qr(self, data, p, d, include_zero, seed, budget):
+        # K up to p - 1 makes most rows edge rows; n starts just above the
+        # shortest series every row can fit; a small budget makes many blocks
+        K = data.draw(st.integers(1, p - 1), label="K")
+        n = d + d * min(p, 2 * K + 1) + 1 + data.draw(st.integers(0, 40), label="extra")
+        ts = TimeSeries(np.random.default_rng(seed).standard_normal((p, n)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimation, "_BLOCK_ENTRIES", budget)
+            surface = rss_surface(ts, d=d, K=K, include_zero=include_zero)
+            qr = qr_surface(ts.values, K, d, surface.ks)
+            assert np.abs(surface.rss / qr - 1.0).max() <= 1e-10
+            assert_fit_matches_qr(ts, data.draw(st.integers(0, K), label="k"), d)
+
+    def test_worker_count_is_bitwise_invisible(self):
+        # three blocks of rows, one series far above its noise so some rows
+        # take the QR fallback
+        vals = substream(31, "x").standard_normal((50, 160))
+        vals[20] += 1e4
+        ts = TimeSeries(vals)
+        one, three = (rss_surface(ts, d=2, K=6, threads=t) for t in (1, 3))
+        assert one.rss.tobytes() == three.rss.tobytes()
+        assert one.qr_rows == three.qr_rows and len(one.qr_rows) > 0
+        fits = [fit_banded_var(ts, 6, 2, threads=t) for t in (1, 3)]
+        assert fits[0].rss.tobytes() == fits[1].rss.tobytes()
+        for a, b in zip(fits[0].model.coeffs, fits[1].model.coeffs):
+            assert a.to_dense().tobytes() == b.to_dense().tobytes()
+
+    @pytest.mark.parametrize(
+        "family, size, listed",
+        [
+            ("level", 1.0e4, ()),
+            ("level", 2.0e4, (0,)),
+            ("collinear", 0.02, ()),
+            ("collinear", 0.008, (2, 3)),
+        ],
+    )
+    def test_certificate_at_its_threshold(self, family, size, listed):
+        # "level": series 0 is series 1 one step later plus noise of variance
+        # 1 / size, so row 0's y.y / RSS is near ``size`` on a well-conditioned
+        # design; "collinear": series 3 is series 2 plus noise of scale
+        # ``size``, so rows 2 and 3 have a small smallest eigenvalue
+        rng = substream(32, family)
+        vals = rng.standard_normal((8, 1000))
+        if family == "level":
+            vals[0, 1:] = vals[1, :-1] + rng.standard_normal(999) / np.sqrt(size)
+        else:
+            vals[3] = vals[2] + size * rng.standard_normal(1000)
+        ts = TimeSeries(vals)
+        surface = rss_surface(ts, d=1, K=1)
+        bound = [certified_error(ts.values, i, 1, 1) for i in range(8)]
+        assert all(abs(np.log(b / estimation._CERT_TOL)) > 0.1 for b in bound)
+        above = tuple(i for i, b in enumerate(bound) if b > estimation._CERT_TOL)
+        assert surface.qr_rows == listed == above
+        assert np.abs(surface.rss / qr_surface(ts.values, 1, 1, surface.ks) - 1.0).max() <= 1e-10
+        assert_fit_matches_qr(ts, 1, 1)
+
+    @pytest.mark.parametrize("scale, listed", [(1e-9, ()), (1e-11, (2, 3, 4))])
+    def test_pivot_guard_keeps_the_rank_decision(self, scale, listed):
+        # series 3 far below the others: its column is well conditioned once
+        # scaled, but below 100 RANK_TOL of the largest pivot the row goes to
+        # QR, which decides the rank; at 1e-11 QR still accepts it
+        vals = substream(33, "x").standard_normal((6, 200))
+        vals[3] *= scale
+        ts = TimeSeries(vals)
+        surface = rss_surface(ts, d=1, K=1)
+        assert surface.qr_rows == listed
+        assert np.abs(surface.rss / qr_surface(ts.values, 1, 1, surface.ks) - 1.0).max() <= 1e-10
+        assert_fit_matches_qr(ts, 1, 1)
+        vals[3] *= 1e-13 / scale  # below RANK_TOL: the named error of QR
+        with pytest.raises(SingularDesignError, match=r"row 2:.*series 3\)"):
+            rss_surface(TimeSeries(vals), d=1, K=1)
+
+    def test_failed_cholesky_sends_its_whole_block(self):
+        # series 20 is zero after its first value, so row 20's y is zero and
+        # its Gram matrix singular: every row of its block takes the QR path,
+        # which fits them (row 20's RSS is 0). A first value of 10 keeps the
+        # other rows, whose designs hold that single nonzero lag, on the Gram
+        # path.
+        vals = substream(34, "x").standard_normal((40, 200))
+        vals[20] = 0.0
+        vals[20, 0] = 10.0
+        ts = TimeSeries(vals)
+        surface = rss_surface(ts, d=1, K=15)
+        size = estimation._BLOCK_ENTRIES // 32**2
+        start = 20 // size * size
+        assert surface.qr_rows == tuple(range(start, min(start + size, 40)))
+        assert surface.rss[20].max() == 0.0
+        good = np.arange(40) != 20
+        qr = qr_surface(ts.values, 15, 1, surface.ks)
+        assert np.abs(surface.rss[good] / qr[good] - 1.0).max() <= 1e-10
+
+    def test_series_level_is_reported(self):
+        _, ts = simulated(40, 2, 200, 35)
+        assert rss_surface(ts, d=1, K=15).qr_rows == ()
+        shifted = TimeSeries(ts.values + 1e3)
+        assert rss_surface(shifted, d=1, K=15).qr_rows == tuple(range(40))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("kind", ["zero", "duplicate"])
+    def test_singular_designs_name_the_first_row(self, kind, d):
+        # the rows, columns and series named by the one-QR-per-row code
+        vals = substream(21, "x").standard_normal((40, 120))
+        if kind == "zero":
+            vals[25] = 0.0
+            surface_row, fit_rows, series = 21, list(range(22, 29)), 25
+        else:
+            vals[30] = vals[27]
+            surface_row, fit_rows, series = 26, list(range(27, 31)), 30
+        ts = TimeSeries(vals)
+        named = rf"row {surface_row}:.*series {series}\)"
+        with pytest.raises(SingularDesignError, match=named) as err:
+            rss_surface(ts, d=d, K=4)
+        assert (err.value.row, err.value.column) == (surface_row, 8)
+        with pytest.raises(SingularDesignError) as err:
+            fit_banded_var(ts, 3, d)
+        assert (err.value.row, err.value.column, err.value.rows) == (fit_rows[0], 6, fit_rows)
+        assert f"series {series})" in str(err.value)
