@@ -143,7 +143,9 @@ def fit_banded_var(
 
 def _parallel_map(fn, items, threads: int) -> list:
     """``[fn(x) for x in items]``, on ``threads`` worker threads when above one."""
-    if threads and threads > 1:
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]

@@ -1,9 +1,9 @@
 """Multi-step prediction and post-sample evaluation.
 
-Forecasts iterate the autoregression, substituting earlier predictions for
-unobserved values at horizons beyond one step. Post-sample evaluation scores
-each of the last ``holdout`` time points at horizons 1..h_max, by default
-with a model fitted once on the pre-holdout window.
+Forecasts run the recursion simulation uses (``linalg._var_recursion``) on the
+last d observations, then on their own predictions beyond one step ahead.
+Post-sample evaluation scores each of the last ``holdout`` time points at
+horizons 1..h_max, by default with a model fitted once on the pre-holdout window.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimation import fit_banded_var
+from .linalg import _var_recursion
 from .model import BandedVarModel, TimeSeries
 from .selection import select_bandwidth
 
@@ -43,6 +44,8 @@ def predict(model: BandedVarModel, history, h: int = 1, mean=None) -> np.ndarray
     d, m = model.d, vals.shape[1]
     if m < d:
         raise ValueError(f"insufficient history: need at least {d} observations")
+    path = np.zeros((model.p, d + h))  # the last d observations, then the predictions
+    path[:, :d] = vals[:, m - d :]
     if mean is not None:
         offsets = np.asarray(mean, dtype=float)
         if offsets.ndim == 1:
@@ -50,17 +53,9 @@ def predict(model: BandedVarModel, history, h: int = 1, mean=None) -> np.ndarray
         if offsets.ndim != 2 or offsets.shape[0] != model.p or offsets.shape[1] < 1:
             raise ValueError(f"mean must have length {model.p} or shape {model.p} x period")
         offsets = offsets[:, np.arange(m - d, m + h) % offsets.shape[1]]  # times m-d .. m+h-1
-        vals = vals[:, m - d :] - offsets[:, :d]
-    state = [vals[:, -ell] for ell in range(1, d + 1)]  # most recent first
-    out = np.empty((model.p, h))
-    for s in range(h):
-        nxt = np.zeros(model.p)
-        for ell, a in enumerate(model.coeffs):
-            nxt += a.matvec(state[ell])
-        out[:, s] = nxt
-        state = [nxt] + state[: d - 1]
-    if mean is not None:
-        out = out + offsets[:, d:]
+        path[:, :d] -= offsets[:, :d]
+    _var_recursion(model.coeffs, path, d)
+    out = path[:, d:] + offsets[:, d:] if mean is not None else path[:, d:].copy()
     if not np.all(np.isfinite(out)):
         raise ValueError("non-finite prediction; model or history out of range")
     return out

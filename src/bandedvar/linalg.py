@@ -13,6 +13,7 @@ import math
 import numpy as np
 from scipy.linalg import eigvals_banded as _eigvals_banded
 from scipy.linalg import eigvalsh as _eigvalsh
+from scipy.linalg.blas import daxpy as _daxpy
 from scipy.linalg.blas import dgbmv as _dgbmv
 
 from .errors import ConvergenceError
@@ -139,6 +140,20 @@ class BandedMatrix:
 
     def __repr__(self):
         return f"BandedMatrix(p={self.p}, k={self.k})"
+
+
+def _var_recursion(coeffs, y: np.ndarray, start: int) -> None:
+    """Add sum_l A_l y[:, t - l] into column t of the C-ordered p x T array ``y``
+    for t = start..T-1, lag 1 first, skipping lags before column 0, with the bits
+    of ``y[:, t] += A_l.matvec(y[:, t - l])``: a strided ``dgbmv`` and a unit
+    ``daxpy`` per term, called positionally (f2py's keyword parsing is slow)."""
+    p, steps = y.shape
+    flat = y.reshape(-1)  # a view, written in place by daxpy
+    lags = [(ell, max(p, 2 * a.k + 1), a.k, a._packed) for ell, a in enumerate(coeffs, 1)]
+    for t in range(start, steps):
+        for ell, rows, k, packed in lags[:t]:
+            ax = _dgbmv(rows, p, k, k, 1.0, packed, flat, steps, t - ell)
+            _daxpy(ax, flat, p, 1.0, 0, 1, t, steps)
 
 
 def band_product(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:

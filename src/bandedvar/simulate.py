@@ -1,9 +1,9 @@
 """Ground-truth model generation and VAR path simulation.
 
-Two coefficient generators mirror the benchmark designs: a dense uniform
-band, and a sparse mixture whose band-edge entries are forced large before
-rescaling. Both rescale the matrix so its spectral norm is a draw from
-U[0.3, 1.0) (or a caller-fixed value), which guarantees stationarity.
+Two coefficient generators mirror the benchmark designs, a dense uniform band
+and a sparse mixture with large band-edge entries; both rescale to a spectral
+norm drawn from U[0.3, 1.0) (or fixed), which guarantees stationarity. A path
+runs the recursion forecasts share (``linalg._var_recursion``) on its draws.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonStationaryError
-from .linalg import BandedMatrix, spectral_norm
+from .linalg import BandedMatrix, _var_recursion, spectral_norm
 from .model import BandedVarModel, TimeSeries, is_stationary
 from .rng import substream
 
@@ -56,13 +56,14 @@ class SimConfig:
             raise ValueError(f"unknown sigma_eps_kind {self.sigma_eps_kind!r}")
 
 
-def _rescaled(p, k0, diags, rng, target_norm):
-    raw = BandedMatrix(p, k0, diags)
-    s = spectral_norm(raw.to_dense())
-    if s == 0.0:
-        return None
-    eta = float(target_norm) if target_norm is not None else rng.uniform(0.3, 1.0)
-    return raw.scaled(eta / s)
+def _rescaled(p, k0, diagonal, rng, target_norm):
+    """Band of diagonals ``diagonal(|o|, p - |o|)``, o = -k0..k0, redrawn while zero, rescaled."""
+    while True:
+        raw = BandedMatrix(p, k0, [diagonal(abs(o), p - abs(o)) for o in range(-k0, k0 + 1)])
+        s = spectral_norm(raw.to_dense())
+        if s != 0.0:
+            eta = float(target_norm) if target_norm is not None else rng.uniform(0.3, 1.0)
+            return raw.scaled(eta / s)
 
 
 def gen_coeff_uniform(p: int, k0: int, rng, target_norm: float | None = None) -> BandedMatrix:
@@ -70,11 +71,7 @@ def gen_coeff_uniform(p: int, k0: int, rng, target_norm: float | None = None) ->
     spectral norm equals a U[0.3, 1.0) draw (or ``target_norm``)."""
     if p < 2 * k0 + 1:
         raise ValueError(f"p={p} must be at least 2 k0 + 1 = {2 * k0 + 1}")
-    while True:
-        diags = [rng.uniform(-1.0, 1.0, size=p - abs(m - k0)) for m in range(2 * k0 + 1)]
-        out = _rescaled(p, k0, diags, rng, target_norm)
-        if out is not None:
-            return out
+    return _rescaled(p, k0, lambda o, size: rng.uniform(-1.0, 1.0, size=size), rng, target_norm)
 
 
 def gen_coeff_mixture(p: int, k0: int, rng, target_norm: float | None = None) -> BandedMatrix:
@@ -85,18 +82,14 @@ def gen_coeff_mixture(p: int, k0: int, rng, target_norm: float | None = None) ->
         raise ValueError("mixture generator needs k0 >= 1")
     if p < 2 * k0 + 1:
         raise ValueError(f"p={p} must be at least 2 k0 + 1 = {2 * k0 + 1}")
-    while True:
-        diags = []
-        for m in range(2 * k0 + 1):
-            size = p - abs(m - k0)
-            if abs(m - k0) == k0:
-                diags.append(np.where(rng.random(size) < 0.5, -4.0, 4.0))
-            else:
-                keep = rng.random(size) >= 0.4
-                diags.append(np.where(keep, rng.standard_normal(size), 0.0))
-        out = _rescaled(p, k0, diags, rng, target_norm)
-        if out is not None:
-            return out
+
+    def diagonal(o, size):
+        if o == k0:
+            return np.where(rng.random(size) < 0.5, -4.0, 4.0)
+        keep = rng.random(size) >= 0.4
+        return np.where(keep, rng.standard_normal(size), 0.0)
+
+    return _rescaled(p, k0, diagonal, rng, target_norm)
 
 
 def gen_sigma_eps_structured(p: int) -> np.ndarray:
@@ -131,8 +124,7 @@ def simulate_var(
         )
     if rng is None:
         rng = substream(0, "innovations")
-    total = burn_in + n
-    out = rng.standard_normal((model.p, total))  # innovations, updated in place
+    out = rng.standard_normal((model.p, burn_in + n))  # innovations, updated in place
     if model.sigma_eps is not None:
         try:
             factor = np.linalg.cholesky(model.sigma_eps)
@@ -140,9 +132,7 @@ def simulate_var(
             w, v = np.linalg.eigh(model.sigma_eps)
             factor = v * np.sqrt(np.clip(w, 0.0, None))
         out = factor @ out
-    for t in range(total):
-        for ell, a in enumerate(model.coeffs[:t], start=1):
-            out[:, t] += a.matvec(out[:, t - ell])
+    _var_recursion(model.coeffs, out, 0)
     return TimeSeries(out[:, burn_in:])
 
 

@@ -1,5 +1,7 @@
 """Regressor counts, band columns, whole-model fits, the banded Gram factor."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from bandedvar import (
     simulate_var,
 )
 from bandedvar import estimation
+from bandedvar.bench import selection_frequency_cell
 from bandedvar.estimation import _ring_offsets, _row_qr, band_columns
 from bandedvar.rng import substream
 from bandedvar.selection import rss_surface
@@ -345,3 +348,28 @@ class TestGramFactor:
             fit_banded_var(ts, 3, d)
         assert (err.value.row, err.value.column, err.value.rows) == (fit_rows[0], 6, fit_rows)
         assert f"series {series})" in str(err.value)
+
+
+class TestWorkerCount:
+    """A worker count that is not an integer of at least 1 is a named error,
+    before any worker starts."""
+
+    BAD = [0, -3, 2.5, 1.0, True, "2", None]
+
+    @pytest.mark.parametrize("threads", BAD)
+    def test_rss_surface_rejects(self, threads):
+        _, ts = simulated(8, 1, 60, 31)
+        named = re.escape(f"threads must be an integer >= 1, got {threads!r}")
+        with pytest.raises(ValueError, match=named):
+            rss_surface(ts, d=1, K=2, threads=threads)
+
+    @pytest.mark.parametrize("threads", BAD)
+    def test_bench_cell_rejects(self, threads):
+        with pytest.raises(ValueError, match=re.escape(f"got {threads!r}")):
+            selection_frequency_cell("uniform", 8, 1, n=60, reps=2, K=2, seed=31, threads=threads)
+
+    def test_numpy_integer_accepted(self):
+        _, ts = simulated(8, 1, 60, 31)
+        one = rss_surface(ts, d=1, K=2, threads=1)
+        two = rss_surface(ts, d=1, K=2, threads=np.int64(2))
+        assert np.array_equal(one.rss, two.rss)

@@ -104,6 +104,54 @@ class TestPredict:
         assert np.allclose(out[:, 0], step1)
         assert np.allclose(out[:, 1], step2)
 
+    @settings(max_examples=150)
+    @given(
+        data=st.data(),
+        p=st.integers(1, 12),
+        d=st.integers(1, 3),
+        h=st.integers(1, 5),
+        extra=st.integers(0, 4),
+        offsets=st.sampled_from(["none", "vector", "period"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_matvec_steps(self, data, p, d, h, extra, offsets, seed):
+        # reference: a list of the last d states, each step summed into zeros
+        # by one matvec per lag, lag 1 first
+        rng = np.random.default_rng(seed)
+        k0 = data.draw(st.integers(0, p - 1), label="k0")
+        coeffs = []
+        for _ in range(d):
+            k = data.draw(st.integers(0, k0), label="k")
+            diags = [rng.uniform(-0.6, 0.6, p - abs(o)) for o in range(-k, k + 1)]
+            coeffs.append(BandedMatrix(p, k, diags))
+        model = BandedVarModel(p, d, k0, coeffs)
+        history = rng.standard_normal((p, d + extra)) + 5.0
+        mean = {
+            "none": None,
+            "vector": rng.standard_normal(p) + 5.0,
+            "period": rng.standard_normal((p, data.draw(st.integers(1, 4), label="period"))),
+        }[offsets]
+        out = predict(model, history, h, mean=mean)
+
+        m = history.shape[1]
+        vals, table = history, None
+        if mean is not None:
+            table = mean.reshape(p, -1)
+            table = table[:, np.arange(m - d, m + h) % table.shape[1]]
+            vals = history[:, m - d :] - table[:, :d]
+        state = [vals[:, -ell] for ell in range(1, d + 1)]
+        ref = np.empty((p, h))
+        for s in range(h):
+            nxt = np.zeros(p)
+            for ell, a in enumerate(coeffs):
+                nxt += a.matvec(state[ell])
+            ref[:, s] = nxt
+            state = [nxt] + state[: d - 1]
+        if table is not None:
+            ref = ref + table[:, d:]
+        assert out.flags.c_contiguous
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+
 
 class TestRollingEvaluation:
     def test_perfect_model_zero_errors(self):

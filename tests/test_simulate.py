@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandedvar import (
     BandedVarModel,
@@ -194,6 +196,44 @@ class TestSimulateVar:
         for t in range(1, burn_in + n):
             ref[:, t] += coeff.matvec(ref[:, t - 1])
         assert np.array_equal(ts.values, ref[:, burn_in:])
+
+    @settings(max_examples=150)
+    @given(
+        data=st.data(),
+        p=st.integers(1, 12),
+        d=st.integers(1, 3),
+        n=st.integers(1, 25),
+        burn_in=st.integers(0, 8),
+        innovations=st.sampled_from(["none", "diagonal", "structured"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_matvec_steps(self, data, p, d, n, burn_in, innovations, seed):
+        # bands up to k = p - 1, so 2k + 1 > p (rows past p in dgbmv) is covered
+        rng = np.random.default_rng(seed)
+        k0 = data.draw(st.integers(0, p - 1), label="k0")
+        coeffs = []
+        for _ in range(d):
+            k = data.draw(st.integers(0, k0), label="k")
+            diags = [rng.uniform(-0.6, 0.6, p - abs(o)) for o in range(-k, k + 1)]
+            coeffs.append(BandedMatrix(p, k, diags))
+        if innovations == "structured" and p >= 2:
+            sigma = gen_sigma_eps_structured(p)
+        else:
+            sigma = None if innovations == "none" else np.diag(rng.uniform(0.1, 3.0, p))
+        model = BandedVarModel(p, d, k0, coeffs, sigma)
+        ts = simulate_var(
+            model, n, burn_in=burn_in, rng=substream(seed, "innovations"), allow_explosive=True
+        )
+
+        ref = substream(seed, "innovations").standard_normal((p, burn_in + n))
+        if sigma is not None:
+            ref = np.linalg.cholesky(sigma) @ ref
+        for t in range(burn_in + n):
+            for ell, a in enumerate(coeffs[:t], start=1):
+                ref[:, t] += a.matvec(ref[:, t - ell])
+        assert ts.values.flags.c_contiguous
+        assert ts.values.shape == (p, n)
+        assert np.array_equal(ts.values.view(np.int64), ref[:, burn_in:].view(np.int64))
 
 
 class TestSimConfig:
