@@ -14,7 +14,7 @@ import numpy as np
 from .autocov import estimate_autocov, sample_autocov
 from .estimation import _parallel_map, fit_banded_var
 from .forecast import predict
-from .linalg import l1_norm, spectral_norm
+from .linalg import BandedMatrix, l1_norm, spectral_norm
 from .model import theoretical_autocov_var1
 from .rng import substream
 from .selection import (
@@ -43,6 +43,13 @@ def _draw_and_simulate(setting, p, k0, n, seed, rep, sigma=None, target_norm=Non
     model = _draw_model(setting, p, k0, substream(seed, "coeffs", rep), target_norm, sigma)
     ts = simulate_var(model, n, rng=substream(seed, "innovations", rep))
     return model, ts
+
+
+def _band_difference(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
+    """a - b in band storage at half-width max(a.k, b.k), entries bitwise the dense ones."""
+    w = max(a.k, b.k)
+    diag = lambda m, o: m.diagonals[o + m.k] if abs(o) <= m.k else 0.0
+    return BandedMatrix(a.p, w, [diag(a, o) - diag(b, o) for o in range(-w, w + 1)])
 
 
 def _mean_sd(values) -> tuple:
@@ -106,11 +113,11 @@ def estimation_error_cell(
 
     def job(rep):
         model, ts = _draw_and_simulate(setting, p, k0, n, seed, rep)
-        truth = model.coeffs[0].to_dense()
+        truth = model.coeffs[0]
         k_hat = select_bandwidth_from_surface(rss_surface(ts, d=1, K=K)).k_hat
 
         def errors(k):
-            err = fit_banded_var(ts, k).model.coeffs[0].to_dense() - truth
+            err = _band_difference(fit_banded_var(ts, k).model.coeffs[0], truth)
             return l1_norm(err), spectral_norm(err)
 
         oracle = errors(k0)

@@ -3,7 +3,8 @@
 Forecasts run the recursion simulation uses (``linalg._var_recursion``) on the
 last d observations, then on their own predictions beyond one step ahead.
 Post-sample evaluation scores each of the last ``holdout`` time points at
-horizons 1..h_max, by default with a model fitted once on the pre-holdout window.
+horizons 1..h_max, one prediction per forecast origin, by default with a model
+fitted once on the pre-holdout window.
 """
 
 from __future__ import annotations
@@ -168,16 +169,15 @@ def rolling_evaluation(
 
     targets = np.arange(train_end, n)
     errors = {h: np.empty((ts.p, holdout)) for h in range(1, h_max + 1)}
-    k_used = None
-    for col, t in enumerate(targets):
-        for s in range(1, h_max + 1):
-            origin = t - s
-            mdl, k_used_here, offsets = model_for(train_end if not refit else origin + 1)
-            if k_used is None and k_used_here is not None:
-                k_used = k_used_here
-            pred = predict(mdl, vals[:, : origin + 1], h=s, mean=offsets)[:, -1]
-            diff = pred - vals[:, t]
-            errors[s][:, col] = np.abs(diff) if metric == "absolute" else diff**2
+    k_used = model_for(train_end)[1]  # the first target's one-step model, fitted first
+    # one prediction per origin serves every horizon: the recursion is
+    # sequential, so step s of a longer run has the bits of an s-step run
+    for origin in range(train_end - h_max, n - 1):
+        mdl, _, offsets = model_for(train_end if not refit else origin + 1)
+        pred = predict(mdl, vals[:, : origin + 1], h=min(h_max, n - 1 - origin), mean=offsets)
+        for s in range(max(1, train_end - origin), pred.shape[1] + 1):
+            err = pred[:, s - 1] - vals[:, origin + s]
+            errors[s][:, origin + s - train_end] = np.abs(err) if metric == "absolute" else err**2
     report = ForecastReport(
         h_max=h_max, metric=metric, targets=targets, errors=errors, k_used=k_used
     )

@@ -182,8 +182,10 @@ def band_product(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
 
 
 def l1_norm(m) -> float:
-    """Largest absolute column sum."""
-    m = np.asarray(m, dtype=float)
+    """Largest absolute column sum. A :class:`BandedMatrix` sums the columns of
+    its packed band, its matrix columns top to bottom between zeros, in C order:
+    row by row, the order of a dense array's sums, so the bits are the same."""
+    m = np.ascontiguousarray(m._packed) if isinstance(m, BandedMatrix) else np.asarray(m, float)
     if m.size == 0:
         return 0.0
     return float(np.abs(m).sum(axis=0).max())

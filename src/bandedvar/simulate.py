@@ -2,8 +2,9 @@
 
 Two coefficient generators mirror the benchmark designs, a dense uniform band
 and a sparse mixture with large band-edge entries; both rescale to a spectral
-norm drawn from U[0.3, 1.0) (or fixed), which guarantees stationarity. A path
-runs the recursion forecasts share (``linalg._var_recursion``) on its draws.
+norm drawn from U[0.3, 1.0) (or fixed), taken in band storage (no p x p array),
+which guarantees stationarity. A path runs the recursion forecasts share
+(``linalg._var_recursion``) on its draws.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _rescaled(p, k0, diagonal, rng, target_norm):
     """Band of diagonals ``diagonal(|o|, p - |o|)``, o = -k0..k0, redrawn while zero, rescaled."""
     while True:
         raw = BandedMatrix(p, k0, [diagonal(abs(o), p - abs(o)) for o in range(-k0, k0 + 1)])
-        s = spectral_norm(raw.to_dense())
+        s = spectral_norm(raw)
         if s != 0.0:
             eta = float(target_norm) if target_norm is not None else rng.uniform(0.3, 1.0)
             return raw.scaled(eta / s)

@@ -492,9 +492,12 @@ class TestRiskMatchesSearchsorted:
         assert risk.argmin == 0.0 and not risk.risk.any()
 
 
+# (grid position of the pick, the pick, the risk curve). Both threshold picks
+# of seed 31 were re-recorded a few ulps away, at the same grid position, when
+# the coefficient draw took its spectral norm in band storage.
 PINNED = {
     (31, 0, "band"): (
-        5,
+        5, 5,
         [
             8.975082930547275, 7.0372209637376315, 6.285928492470406, 6.37218343716903,
             6.296684959790783, 6.190151387280162, 6.346332926539387, 6.422735294227907,
@@ -502,7 +505,7 @@ PINNED = {
         ],
     ),
     (31, 0, "threshold"): (
-        0.12309723843281875,
+        1, 0.12309723843281876,
         [
             6.187781675253605, 6.186999325370282, 6.268780761753273, 6.512783346397725,
             6.819853164431858, 6.951425300436831, 7.188099045300594, 7.34673424602625,
@@ -513,7 +516,7 @@ PINNED = {
         ],
     ),
     (31, 1, "band"): (
-        11,
+        11, 11,
         [
             8.790544069567057, 7.965219344794574, 7.606898798513503, 7.146280746084417,
             7.088387076565153, 6.921322139709217, 6.986172162760928, 6.926227754527011,
@@ -521,7 +524,7 @@ PINNED = {
         ],
     ),
     (31, 1, "threshold"): (
-        0.050151597895491194,
+        1, 0.050151597895491215,
         [
             5.98318567099676, 5.9696196723822785, 5.998866613267186, 6.124905103163283,
             6.2437792221020585, 6.414643682966788, 6.637481330675563, 6.8647334634890385,
@@ -532,7 +535,7 @@ PINNED = {
         ],
     ),
     (32, 0, "band"): (
-        11,
+        11, 11,
         [
             9.195438719236432, 7.629007528998665, 6.78507919773252, 6.720004115836396,
             6.611550497479821, 6.645017867534223, 6.637366937251231, 6.673164335097387,
@@ -540,7 +543,7 @@ PINNED = {
         ],
     ),
     (32, 0, "threshold"): (
-        0.0,
+        0, 0.0,
         [
             6.671848324704143, 6.702974031047373, 6.728816028400841, 6.7993115334875585,
             7.094151360539989, 7.25149722932864, 7.459720723485868, 7.966140654967994,
@@ -551,7 +554,7 @@ PINNED = {
         ],
     ),
     (32, 1, "band"): (
-        10,
+        10, 10,
         [
             7.710054720206384, 6.639843738734155, 6.396805628034628, 6.083430068495291,
             6.045741863715419, 5.960292807899176, 5.808050486896295, 5.752389629406499,
@@ -559,7 +562,7 @@ PINNED = {
         ],
     ),
     (32, 1, "threshold"): (
-        0.2896653623739413,
+        4, 0.2896653623739413,
         [
             7.135720940728089, 7.133537380080763, 7.182387131881468, 7.167485642503744,
             7.1062628809660975, 7.22652448680236, 7.351300765322425, 7.56244212558403,
@@ -581,7 +584,8 @@ class TestPinnedSelections:
         _, ts = table4_style_panel(24, 80, seed)
         select = bootstrap_select_band if method == "band" else bootstrap_select_threshold
         risk = select(ts, j, q=20, rng=substream(seed, "bootstrap", j, method))
-        argmin, curve = PINNED[key]
+        position, argmin, curve = PINNED[key]
+        assert np.argmin(risk.risk) == position and risk.grid[position] == risk.argmin
         assert risk.argmin == argmin
         assert np.abs(risk.risk - curve).max() <= 1e-12 * max(curve)
 

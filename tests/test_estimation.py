@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from bandedvar import (
+    BandedMatrix,
     BandedVarModel,
     SingularDesignError,
     TimeSeries,
@@ -17,7 +18,7 @@ from bandedvar import (
     row_regressor_count,
     simulate_var,
 )
-from bandedvar import estimation
+from bandedvar import bench, estimation
 from bandedvar.bench import selection_frequency_cell
 from bandedvar.estimation import _ring_offsets, _row_qr, band_columns
 from bandedvar.rng import substream
@@ -348,6 +349,39 @@ class TestGramFactor:
             fit_banded_var(ts, 3, d)
         assert (err.value.row, err.value.column, err.value.rows) == (fit_rows[0], 6, fit_rows)
         assert f"series {series})" in str(err.value)
+
+
+class TestEstimationErrorCell:
+    """``estimation_error_cell`` scores fit - truth in band storage."""
+
+    @settings(max_examples=60)
+    @given(data=st.data(), p=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_band_difference_bitwise_dense(self, data, p, seed):
+        ka = data.draw(st.integers(0, p - 1), label="ka")
+        kb = data.draw(st.integers(0, p - 1), label="kb")
+        rng = np.random.default_rng(seed)
+        a, b = (
+            BandedMatrix(p, k, [rng.standard_normal(p - abs(o)) for o in range(-k, k + 1)])
+            for k in (ka, kb)
+        )
+        diff = bench._band_difference(a, b)
+        assert diff.k == max(ka, kb)
+        assert np.array_equal(diff.to_dense(), a.to_dense() - b.to_dense())
+
+    @pytest.mark.parametrize(
+        "setting, seed, k_hat", [("uniform", 0, 1), ("uniform", 1, 2), ("uniform", 3, 3)]
+    )
+    def test_errors_equal_dense_norms(self, setting, seed, k_hat):
+        p, k0, n, K = 20, 2, 50, 6
+        cell = bench.estimation_error_cell(setting, p, k0, n=n, reps=1, K=K, seed=seed)
+        assert cell["k_hat_mean"] == k_hat  # below, at and above k0
+        model, ts = bench._draw_and_simulate(setting, p, k0, n, seed, 0)
+        truth = model.coeffs[0].to_dense()
+        for name, k in (("estimated", k_hat), ("true", k0)):
+            err = fit_banded_var(ts, k).model.coeffs[0].to_dense() - truth
+            l1, l2 = np.abs(err).sum(axis=0).max(), np.linalg.norm(err, 2)
+            for norm, want in (("l1", l1), ("l2", l2)):
+                assert abs(cell[f"{name}_{norm}"]["mean"] - want) <= 1e-12 * want
 
 
 class TestWorkerCount:

@@ -17,6 +17,7 @@ from bandedvar import (
     rolling_evaluation,
     simulate_var,
 )
+from bandedvar.forecast import _fit_window
 from bandedvar.rng import substream
 
 
@@ -230,6 +231,40 @@ class TestRollingEvaluation:
         assert runs[0].k_used == runs[1].k_used
         for h in (1, 2):
             assert np.array_equal(runs[0].errors[h], runs[1].errors[h])
+
+    @settings(max_examples=40)
+    @given(
+        p=st.integers(2, 6), d=st.integers(1, 2), holdout=st.integers(1, 8),
+        h_max=st.integers(1, 4), refit=st.booleans(),
+        offsets=st.sampled_from(["none", "mean", "period"]), squared=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_per_horizon_predictions(
+        self, p, d, holdout, h_max, refit, offsets, squared, seed
+    ):
+        rng = np.random.default_rng(seed)
+        ts = simulate_var(stationary_model(p, min(1, (p - 1) // 2), seed), 45, rng=rng)
+        ts = TimeSeries(ts.values + rng.uniform(-50, 50, (p, 1)) + np.arange(45) % 3)
+        period = {"none": None, "mean": None, "period": 3}[offsets]
+        spec = FitSpec(d=d, K=min(2, p - 1), demean=offsets == "mean", period=period)
+        metric = "squared" if squared else "absolute"
+        report = rolling_evaluation(
+            ts, spec, holdout=holdout, h_max=h_max, refit=refit, metric=metric
+        )
+        # the loop this replaced: one prediction per (target, horizon)
+        train_end, vals, fitted, k_used = ts.n - holdout, ts.values, {}, None
+        for col, t in enumerate(range(train_end, ts.n)):
+            for s in range(1, h_max + 1):
+                length = t - s + 1 if refit else train_end
+                if length not in fitted:
+                    fitted[length] = _fit_window(ts.window(0, length), spec, 1)
+                model, k, table = fitted[length]
+                k_used = k if k_used is None else k_used
+                diff = predict(model, vals[:, : t - s + 1], h=s, mean=table)[:, -1] - vals[:, t]
+                want = np.abs(diff) if metric == "absolute" else diff**2
+                got = report.errors[s][:, col]
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert report.k_used == k_used
 
     def test_degenerate_window_rejected(self):
         ts = TimeSeries(np.zeros((2, 10)))

@@ -159,6 +159,14 @@ class TestNorms:
         sym = a + a.T
         assert np.isclose(l1_norm(sym), linf_norm(sym))
 
+    @settings(max_examples=80)
+    @given(data=st.data(), p=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+    def test_banded_l1_bitwise_dense(self, data, p, seed):
+        k = data.draw(st.integers(0, p - 1), label="k")
+        rng = np.random.default_rng(seed)
+        dense = random_banded(p, k, rng) * 10.0 ** rng.uniform(-5, 5)
+        assert l1_norm(BandedMatrix.from_dense(dense, k)) == l1_norm(dense)
+
 
 class TestSpectralNorm:
     def test_identity(self):

@@ -1,5 +1,7 @@
 """Coefficient generators, structured innovation covariance, path simulation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,32 @@ class TestUniformGenerator:
             a = gen_coeff_uniform(20, 3, substream(4, "coeffs", rep))
             model = BandedVarModel(20, 1, 3, [a], np.eye(20))
             assert is_stationary(model)
+
+
+class TestDrawNorm:
+    """The draw takes its norm in band storage: exact enough, and no p x p array."""
+
+    def test_draw_holds_no_dense_array(self):
+        tracemalloc.start()
+        try:
+            gen_coeff_uniform(2000, 2, substream(5, "coeffs"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # one dense 2000 x 2000 array is 32 MB
+
+    @settings(max_examples=100)
+    @given(
+        data=st.data(), p=st.integers(1, 40), mixture=st.booleans(), widest=st.booleans(),
+        target=st.floats(0.05, 5.0), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dense_norm_equals_target(self, data, p, mixture, widest, target, seed):
+        mixture = mixture and p >= 3
+        top = (p - 1) // 2  # p = 2 k0 + 1 at the widest band
+        k0 = top if widest else data.draw(st.integers(1 if mixture else 0, top), label="k0")
+        gen = gen_coeff_mixture if mixture else gen_coeff_uniform
+        a = gen(p, k0, substream(seed, "coeffs"), target_norm=target)
+        assert abs(np.linalg.norm(a.to_dense(), 2) - target) <= 1e-12 * target
 
 
 class TestMixtureGenerator:
