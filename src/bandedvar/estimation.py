@@ -7,7 +7,8 @@ whole fit parallelises across equations without changing the result.
 Bandwidth selection and the fit share one kernel, :func:`_gram_blocks`: one
 stacked Cholesky per block of rows' banded Gram matrices, with inert padding
 past the panel's edges, and one QR per row (:func:`_row_qr`, which raises the
-named errors) for the rows its accuracy guard rejects.
+named errors) for the rows its accuracy guard rejects. Every singular row
+reaches QR, so one error lists them all.
 """
 
 from __future__ import annotations
@@ -73,12 +74,8 @@ class FitReport:
     means: np.ndarray | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "model": self.model.to_dict(means=self.means),
-            "rss": self.rss.tolist(),
-            "sigma_hat": self.sigma_hat.tolist(),
-        }
-        return out
+        """Per-equation diagnostics; the model and means go in the model document."""
+        return {"rss": self.rss.tolist(), "sigma_hat": self.sigma_hat.tolist()}
 
 
 def fit_banded_var(
@@ -90,10 +87,7 @@ def fit_banded_var(
     the report. Equations may be fitted by several worker threads; the result
     does not depend on the worker count.
     """
-    work = ts
-    means = None
-    if demean:
-        work, means = ts.demeaned()
+    work, means = ts.demeaned() if demean else (ts, None)
     p, n = work.p, work.n
 
     def solve(chol):
@@ -102,22 +96,7 @@ def fit_banded_var(
         beta = np.linalg.solve(chol[:, :w, :w].transpose(0, 2, 1), chol[:, w, :w, None])
         return np.column_stack([beta[..., 0], chol[:, w, w] ** 2])
 
-    try:
-        out, _ = _gram_blocks(work.values, k, d, solve, d * (2 * k + 1) + 1, threads)
-    except SingularDesignError:  # name every singular row, unless one is too short
-        failures = []
-        for i in range(p):
-            try:
-                _row_qr(work.values, i, k, d)
-            except SingularDesignError as exc:
-                failures.append(exc)
-        rows, first = [exc.row for exc in failures], failures[0]
-        raise SingularDesignError(
-            f"singular design in rows {rows}; {first}",
-            column=first.column,
-            row=first.row,
-            rows=rows,
-        ) from None
+    out, _ = _gram_blocks(work.values, k, d, solve, d * (2 * k + 1) + 1, threads)
 
     # ring order to series ascending: position o + k holds series i + o;
     # coefficient (i, j) at lag l sits on diagonal (j - i) + k at min(i, j)
@@ -248,7 +227,9 @@ def _gram_blocks(values, K: int, d: int, solve, width: int, threads: int = 1):
       100 ``RANK_TOL``: certified pivots are accurate to far better than that
       factor, so every design ``_row_qr`` rejects reaches it.
     Blocks of ``_BLOCK_ENTRIES`` / (m + 1)^2 rows, then the QR rows in row
-    order, are mapped over ``threads`` workers.
+    order, are mapped over ``threads`` workers. A too-short row's ValueError
+    propagates; otherwise the QR rows that are singular raise one
+    SingularDesignError listing them all in ``rows``, named by the first.
     """
     p, n = values.shape
     row_regressor_count(0, K, d, p)  # the named errors for K and d
@@ -307,11 +288,20 @@ def _gram_blocks(values, K: int, d: int, solve, width: int, threads: int = 1):
         # R^T is a Cholesky factor of the real columns' Gram matrix, up to signs
         real = np.append(np.flatnonzero((row + off[:m] >= 0) & (row + off[:m] < p)), m)
         chol = np.eye(m + 1)
-        chol[np.ix_(real, real)] = _row_qr(values, row, K, d).T
+        try:
+            chol[np.ix_(real, real)] = _row_qr(values, row, K, d).T
+        except SingularDesignError as exc:
+            return exc
         return chol
 
     rejected = _parallel_map(block, range(0, p, size), threads)
     rejected = sorted(np.concatenate([i[short], *rejected]).tolist())
-    for row, chol in zip(rejected, _parallel_map(qr_factor, rejected, threads)):
+    factors = _parallel_map(qr_factor, rejected, threads)
+    failures = [exc for exc in factors if isinstance(exc, SingularDesignError)]
+    if failures:
+        rows, first = [exc.row for exc in failures], failures[0]
+        message = f"singular design in rows {rows}; {first}"
+        raise SingularDesignError(message, column=first.column, row=first.row, rows=rows)
+    for row, chol in zip(rejected, factors):
         out[row] = solve(chol[None])[0]
     return out, rejected

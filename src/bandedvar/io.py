@@ -3,6 +3,10 @@
 Series CSVs have a header of series labels and one time point per row;
 numbers are written with 17 significant digits so a write/read round trip is
 lossless and runs with identical flags and seed produce identical bytes.
+
+Model documents (:meth:`BandedVarModel.to_dict`, ``schema_version`` 2) hold
+each lag's band, p(2k + 1) numbers, with no p x p array on save or load;
+version 1 documents, with dense p x p lags, still load to the same model.
 """
 
 from __future__ import annotations

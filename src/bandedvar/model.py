@@ -24,11 +24,12 @@ __all__ = [
     "banded_approximation_gap",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class TimeSeries:
-    """A p-variate series of length n, stored as a p x n array (column t = y_t).
+    """A p-variate series of length n, stored as a p x n array (column t = y_t),
+    copied into C order so that no result depends on the caller's layout.
 
     ``labels`` are optional per-series names. Instances are immutable.
     """
@@ -36,7 +37,7 @@ class TimeSeries:
     __slots__ = ("values", "labels")
 
     def __init__(self, values, labels=None):
-        vals = np.array(values, dtype=float)
+        vals = np.array(values, dtype=float, order="C")
         if vals.ndim != 2:
             raise ValueError("values must be a 2-D array (series x time)")
         if not np.all(np.isfinite(vals)):
@@ -139,13 +140,15 @@ class BandedVarModel:
         raise AttributeError("BandedVarModel is immutable")
 
     def to_dict(self, means=None) -> dict:
-        """JSON-ready form with dense row-major coefficient matrices."""
+        """JSON-ready form, ``schema_version`` 2: each lag as the 2k + 1
+        diagonals of its stored bandwidth k (lowest first, as
+        :attr:`BandedMatrix.diagonals`), p(2k + 1) numbers instead of p^2."""
         out = {
             "schema_version": SCHEMA_VERSION,
             "p": self.p,
             "d": self.d,
             "k0": self.k0,
-            "coeffs": [a.to_dense().tolist() for a in self.coeffs],
+            "coeffs": [[diag.tolist() for diag in a.diagonals] for a in self.coeffs],
         }
         if self.sigma_eps is not None:
             out["sigma_eps"] = self.sigma_eps.tolist()
@@ -155,16 +158,22 @@ class BandedVarModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BandedVarModel":
-        """Inverse of :meth:`to_dict`; re-validates the band structure."""
+        """Inverse of :meth:`to_dict`; re-validates the band structure. Version 1
+        documents, with dense p x p lags, load at bandwidth min(k0, p - 1)."""
         try:
+            version = data["schema_version"]
             p = int(data["p"])
             d = int(data["d"])
             k0 = int(data["k0"])
-            dense = data["coeffs"]
+            lags = data["coeffs"]
         except (KeyError, TypeError, ValueError) as exc:
             raise BandedVarError(f"invalid model document: {exc}") from exc
-        k_store = min(k0, p - 1)
-        coeffs = [BandedMatrix.from_dense(np.asarray(a, dtype=float), k_store) for a in dense]
+        if version == 1:
+            coeffs = [BandedMatrix.from_dense(np.asarray(a, float), min(k0, p - 1)) for a in lags]
+        elif version == SCHEMA_VERSION:
+            coeffs = [BandedMatrix(p, (len(diags) - 1) // 2, diags) for diags in lags]
+        else:
+            raise BandedVarError(f"unsupported model document schema_version {version!r}")
         sigma = data.get("sigma_eps")
         return cls(p, d, k0, coeffs, None if sigma is None else np.asarray(sigma, dtype=float))
 

@@ -241,13 +241,8 @@ def select_bandwidth_and_order(
         for ell in range(1, L + 1)
     ]
     ks = surfaces[0].ks
-    bic = np.stack(
-        [
-            _bic_matrix(s, cn, leading_d=False, penalty_multiplier=1.0)
-            for s in surfaces
-        ],
-        axis=2,
-    )  # p x len(ks) x L
+    criteria = [_bic_matrix(s, cn, leading_d=False, penalty_multiplier=1.0) for s in surfaces]
+    bic = np.stack(criteria, axis=2)  # p x len(ks) x L
     # order-major scan of each row: ties go to the smaller (d, k)
     flat = np.argmin(bic.transpose(0, 2, 1).reshape(p, -1), axis=1)
     d_idx, k_idx = np.divmod(flat, len(ks))

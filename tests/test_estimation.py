@@ -350,6 +350,48 @@ class TestGramFactor:
         assert (err.value.row, err.value.column, err.value.rows) == (fit_rows[0], 6, fit_rows)
         assert f"series {series})" in str(err.value)
 
+    @settings(max_examples=60)
+    @given(
+        data=st.data(), p=st.integers(3, 14), d=st.integers(1, 2),
+        duplicate=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_singular_row_is_named(self, data, p, d, duplicate, seed):
+        # reference: the rows where one QR per row raises, every row scanned
+        k = data.draw(st.integers(1, min(4, p - 1)), label="k")
+        n = d * (2 * k + 2) + 1 + data.draw(st.integers(0, 40), label="extra")
+        vals = substream(seed, "x").standard_normal((p, n))
+        a = data.draw(st.integers(0, p - 1), label="series")
+        if duplicate:
+            b = data.draw(st.integers(0, p - 1).filter(lambda b: b != a), label="copy")
+            vals[b] = data.draw(st.sampled_from([1.0, -1.0, 2.0]), label="scale") * vals[a]
+        else:
+            vals[a] = 0.0
+        ts = TimeSeries(vals)
+        want = []
+        for i in range(p):
+            try:
+                _row_qr(vals, i, k, d)
+            except SingularDesignError:
+                want.append(i)
+        for run in (lambda: fit_banded_var(ts, k, d), lambda: rss_surface(ts, d=d, K=k)):
+            if not want:
+                run()
+                continue
+            with pytest.raises(SingularDesignError) as err:
+                run()
+            assert err.value.rows == want and err.value.row == want[0]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_too_short_row_wins_over_a_singular_one(self, threads):
+        # row 0 is singular (series 0 is zero); interior row 1 needs n > 4
+        vals = substream(36, "x").standard_normal((5, 4))
+        vals[0] = 0.0
+        ts = TimeSeries(vals)
+        with pytest.raises(ValueError, match=r"row 1 at \(k=1, d=1\)"):
+            fit_banded_var(ts, 1, 1, threads=threads)
+        with pytest.raises(ValueError, match=r"row 1 at \(k=1, d=1\)"):
+            rss_surface(ts, d=1, K=1, threads=threads)
+
 
 class TestEstimationErrorCell:
     """``estimation_error_cell`` scores fit - truth in band storage."""

@@ -1,5 +1,9 @@
 """Model containers, companion form, stationarity, implied autocovariances."""
 
+import json
+import tempfile
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,21 +16,36 @@ from bandedvar import (
     BandedMatrix,
     BandedVarModel,
     BandedVarError,
+    FitSpec,
     NonStationaryError,
     TimeSeries,
     banded_approximation_gap,
     companion_matrix,
+    estimate_autocov,
+    fit_banded_var,
     frobenius_norm,
     gen_coeff_uniform,
     gen_sigma_eps_structured,
     is_stationary,
     l1_norm,
+    predict,
+    rolling_evaluation,
+    sample_autocov,
+    select_bandwidth,
+    select_bandwidth_and_order,
     spectral_norm,
     spectral_radius,
     theoretical_autocov_var1,
 )
+from bandedvar.io import (
+    load_model_json,
+    read_timeseries_csv,
+    save_model_json,
+    write_timeseries_csv,
+)
 from bandedvar.rng import substream
-from bandedvar.simulate import SimConfig, make_model
+from bandedvar.selection import rss_surface
+from bandedvar.simulate import SimConfig, make_model, run_simulation
 
 
 def banded_model(p, k0, rng, sigma=None, target_norm=None):
@@ -87,9 +106,11 @@ class TestContainers:
     def test_json_round_trip(self):
         model = banded_model(6, 2, substream(1, "coeffs"), sigma=gen_sigma_eps_structured(6))
         doc = model.to_dict(means=np.arange(6.0))
-        back = BandedVarModel.from_dict(doc)
+        assert doc["schema_version"] == 2
+        assert doc["coeffs"] == [[diag.tolist() for diag in model.coeffs[0].diagonals]]
+        back = BandedVarModel.from_dict(json.loads(json.dumps(doc)))
         assert back.p == 6 and back.d == 1 and back.k0 == 2
-        assert np.array_equal(back.coeffs[0].to_dense(), model.coeffs[0].to_dense())
+        assert back.coeffs[0]._packed.tobytes() == model.coeffs[0]._packed.tobytes()
         assert np.array_equal(back.sigma_eps, model.sigma_eps)
 
     def test_json_without_sigma_loads_as_identity(self):
@@ -107,6 +128,130 @@ class TestContainers:
         }
         with pytest.raises(ValueError, match="outside bandwidth"):
             BandedVarModel.from_dict(doc)
+
+
+def layout_outputs(ts):
+    """Every number the library derives from a series, as bytes."""
+    fit = fit_banded_var(ts, 1, demean=True)
+    rolling = rolling_evaluation(ts, FitSpec(K=2), holdout=4, h_max=2, refit=True)
+    outputs = [
+        rss_surface(ts, d=2, K=2).rss,
+        select_bandwidth(ts, K=2).bic,
+        select_bandwidth_and_order(ts, K=2, L=2).bic,
+        fit.model.coeffs[0]._packed,
+        fit.rss,
+        fit.means,
+        predict(fit.model, ts, h=2, mean=fit.means),
+        *rolling.errors.values(),
+        sample_autocov(ts, 0),
+        sample_autocov(ts, 1),
+    ]
+    for method in ("banded", "thresholded"):
+        est = estimate_autocov(ts, 1, method=method, q=4, rng=substream(0, "bootstrap"))
+        outputs += [est.matrix, est.risk.risk]
+    return [np.asarray(x).tobytes() for x in outputs]
+
+
+class TestSeriesLayout:
+    """Results depend on a series' values, not on its caller's memory layout."""
+
+    @settings(max_examples=15)
+    @given(p=st.integers(3, 8), n=st.integers(24, 60), seed=st.integers(0, 2**32 - 1))
+    def test_layouts_and_csv_round_trip_are_bitwise_equal(self, p, n, seed):
+        rng = substream(seed, "x")
+        values = rng.standard_normal((p, n)).cumsum(axis=1) + 50.0 * rng.standard_normal((p, 1))
+        strided = np.zeros((2 * p, 3 * n))[::2, ::3]
+        strided[:] = values
+        want = layout_outputs(TimeSeries(values))
+        assert layout_outputs(TimeSeries(np.asfortranarray(values))) == want
+        assert layout_outputs(TimeSeries(strided)) == want
+        with tempfile.TemporaryDirectory() as tmp:
+            write_timeseries_csv(Path(tmp) / "y.csv", TimeSeries(values))
+            assert layout_outputs(read_timeseries_csv(Path(tmp) / "y.csv")) == want
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def v2_document(p=4, k0=1, lags=None, **extra):
+    """A version-2 document with one lag; ``lags`` replaces its diagonals."""
+    diags = [np.full(p - abs(o), 0.1).tolist() for o in range(-k0, k0 + 1)]
+    doc = {"schema_version": 2, "p": p, "d": 1, "k0": k0, "coeffs": lags or [diags]}
+    return {**doc, **extra}
+
+
+class TestModelDocument:
+    """Version-2 documents store each lag's band; version 1 (dense) still loads."""
+
+    def test_version_1_fixture_loads_as_its_version_2_form(self):
+        # written by the dense-document code: p = 6, d = 2, k0 = 2, means and
+        # a structured sigma_eps
+        v1, means = load_model_json(FIXTURES / "model_v1.json")
+        with open(FIXTURES / "model_v1.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert doc["schema_version"] == 1 and np.asarray(doc["coeffs"]).shape == (2, 6, 6)
+        assert [a.to_dense().tolist() for a in v1.coeffs] == doc["coeffs"]
+        v2 = BandedVarModel.from_dict(json.loads(json.dumps(v1.to_dict(means=means))))
+        assert (v2.p, v2.d, v2.k0) == (v1.p, v1.d, v1.k0) == (6, 2, 2)
+        for a, b in zip(v1.coeffs, v2.coeffs):
+            assert a._packed.tobytes() == b._packed.tobytes()
+        assert v1.sigma_eps.tobytes() == v2.sigma_eps.tobytes()
+        assert np.array_equal(v1.sigma_eps, gen_sigma_eps_structured(6))
+        assert means.tobytes() == np.asarray(doc["means"]).tobytes()
+
+    def test_version_2_keeps_a_narrower_stored_band(self):
+        a = BandedMatrix(5, 1, [np.full(4, -0.1), np.full(5, 0.3), np.full(4, 0.2)])
+        doc = BandedVarModel(5, 1, 3, [a]).to_dict()
+        assert [len(diag) for diag in doc["coeffs"][0]] == [4, 5, 4]
+        back = BandedVarModel.from_dict(doc)
+        assert back.k0 == 3 and back.coeffs[0].k == 1
+        assert back.coeffs[0]._packed.tobytes() == a._packed.tobytes()
+
+    def test_version_2_loads_with_no_dense_round_trip(self):
+        doc = v2_document(p=5, k0=2)
+        with (
+            mock.patch.object(BandedMatrix, "from_dense", side_effect=AssertionError),
+            mock.patch.object(BandedMatrix, "to_dense", side_effect=AssertionError),
+        ):
+            BandedVarModel.from_dict(BandedVarModel.from_dict(doc).to_dict())
+
+    @pytest.mark.parametrize(
+        "lags, match",
+        [
+            ([[[0.1] * 3, [0.2] * 4]], "expected 1 diagonals, got 2"),  # even count
+            ([[[0.1] * 3, [0.2] * 4, [0.1] * 4]], "offset 1 has length"),  # wrong length
+            ([[[0.1] * 2, [0.1] * 3, [0.2] * 4, [0.1] * 3, [0.1] * 2]], "exceeds k0=1"),
+            ([[[0.1] * 3, [0.2, float("nan"), 0.2, 0.2], [0.1] * 3]], "finite"),
+        ],
+    )
+    def test_malformed_version_2_is_rejected(self, lags, match):
+        with pytest.raises(ValueError, match=match):
+            BandedVarModel.from_dict(v2_document(p=4, k0=1, lags=lags))
+
+    @pytest.mark.parametrize("version", [0, 3, "2", None])
+    def test_unknown_schema_version_is_named(self, version):
+        with pytest.raises(BandedVarError, match=f"schema_version {version!r}"):
+            BandedVarModel.from_dict(v2_document(schema_version=version))
+
+    def test_missing_schema_version_is_invalid(self):
+        doc = v2_document()
+        del doc["schema_version"]
+        with pytest.raises(BandedVarError, match="invalid model document"):
+            BandedVarModel.from_dict(doc)
+
+    def test_save_and_load_hold_no_dense_array(self, tmp_path):
+        _, ts = run_simulation(SimConfig(p=2000, n=60, k0=2, seed=4))
+        report = fit_banded_var(ts, 2, demean=True)
+        tracemalloc.start()
+        try:
+            save_model_json(tmp_path / "fit.model.json", report.model, means=report.means)
+            model, means = load_model_json(tmp_path / "fit.model.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # one dense 2000 x 2000 array is 32 MB
+        assert model.coeffs[0]._packed.tobytes() == report.model.coeffs[0]._packed.tobytes()
+        assert means.tobytes() == report.means.tobytes()
 
 
 class TestCompanion:
