@@ -19,7 +19,11 @@ sum of D scores every half-width: O(p r_max n q) in all. Thresholding forms each
 replicate (O(p^2 n)) into work arrays made once per call, bins its entries by
 the number of cutoffs below |S*| (estimated from the mean cutoff spacing and
 searched where that is off: O(p^2) on the default grid), sums D per (column,
-bin) and scores all G cutoffs from one suffix sum.
+bin) and scores all G cutoffs from one suffix sum. At lag 0, S and every S* are
+symmetric: banding forms diagonals o and -o as one product, and thresholding
+forms only the upper triangle of each replicate (one ``dsyrk``, half the
+product) and bins its p(p + 1)/2 entries, each off-diagonal one counting in its
+row's sums as well as its column's.
 """
 
 from __future__ import annotations
@@ -144,23 +148,34 @@ def _bootstrap_select(ts, j, sample, grid, q, rng, weights, method) -> Bootstrap
             raise ValueError(f"bootstrap replicate {k}: need {n - j} finite weights, got {got}")
         draws.append(u)
     xc = ts.values - ts.values.mean(axis=1, keepdims=True)
-    risks_of = _band_risks if banding else _threshold_risks
-    risks = risks_of(xc[:, : n - j], xc[:, j:], np.stack(draws), n, sample, grid)
+    left, right, u = xc[:, : n - j], xc[:, j:], np.stack(draws)
+    if banding:
+        risks = _band_risks(left, right, u, n, sample, grid, symmetric=j == 0)
+    elif j == 0:
+        risks = _symmetric_threshold_risks(xc, u, n, sample, grid)
+    else:
+        risks = _threshold_risks(left, right, u, n, sample, grid)
     argmin = (int if banding else float)(grid[np.argmin(risks)])  # ties: first position
     return BootstrapRisk(grid=grid, risk=risks, q=q, argmin=argmin, lag=j, method=method)
 
 
-def _band_risks(left, right, u, n, sample, grid):
-    """Every half-width's risk from the diagonals |o| <= max(grid) of S*."""
+def _band_risks(left, right, u, n, sample, grid, symmetric=False):
+    """Every half-width's risk from the diagonals |o| <= max(grid) of S*.
+
+    When S and S* are symmetric (lag 0), diagonal -o is diagonal o, so its
+    product is formed once and added into the columns of both."""
     p = len(sample)
     cols = np.tile(np.abs(sample).sum(axis=0), (len(u), 1))
     curve = np.empty(int(min(grid.max(), p - 1)) + 1)
     for r in range(len(curve)):
-        for o in (r, -r) if r else (0,):
+        for o in (r,) if symmetric or not r else (r, -r):
             a, b = max(-o, 0), max(o, 0)  # first row and column of diagonal o
             star = (left[a : p - b] * right[b : p - a]) @ u.T / n
             s = np.diagonal(sample, o)[:, None]
-            cols[:, b : p - a] += (np.abs(star - s) - np.abs(s)).T
+            star = (np.abs(star - s) - np.abs(s)).T  # D; rebinding frees the product
+            cols[:, b : p - a] += star
+            if symmetric and o:
+                cols[:, : p - o] += star
         curve[r] = cols.max(axis=1).mean()
     return curve[np.minimum(grid, p - 1).astype(int)]
 
@@ -215,6 +230,59 @@ def _threshold_risks(left, right, u, n, sample, grid):
         sums = np.bincount(bins.ravel(), d.ravel(), minlength=p * (g + 1))
         kept = np.cumsum(sums.reshape(p, g + 1)[:, :0:-1], axis=1)[:, ::-1]
         total += (abs_s.sum(axis=0)[:, None] + kept).max(axis=0)
+    return (total / len(u))[np.argsort(order)]
+
+
+def _symmetric_threshold_risks(x, u, n, sample, grid):
+    """Lag 0: ``_threshold_risks`` on the p(p + 1)/2 entries on and above the diagonal.
+
+    S* is a a^T with a = x * sqrt(|w| / n), less twice that product over the
+    columns of negative weights. numpy's ``matmul`` forms a matrix times its
+    transpose with one ``dsyrk`` (half the product) and mirrors it. scipy's
+    ``dsyrk`` would skip the mirror, but it runs on scipy's own copy of the
+    BLAS, whose untouched work buffer adds about 1 MiB of resident memory.
+    An entry's D counts in the (column, bin) sums of its column and, off the
+    diagonal, of its row: the diagonal's second count goes to a spare row of
+    slots.
+    """
+    p, g = len(sample), grid.size
+    order = np.argsort(grid, kind="stable")
+    ext = np.concatenate([[-np.inf], grid[order], [np.inf]])
+    step = ext[-2] / (g - 1) if g > 1 else 0.0
+    col_abs = np.abs(sample).sum(axis=0)[:, None]
+    row, col_slot = np.triu_indices(p)
+    s_up, take = sample[row, col_slot], row * p
+    take += col_slot  # positions of the upper triangle in the product, row by row
+    shift = np.where(row == col_slot, p, row)
+    del row
+    col_slot *= g + 1  # bincount index of (column, bin 0)
+    shift *= g + 1
+    shift -= col_slot  # on to (row, bin 0)
+    size = take.size
+    # work arrays for all replicates: the product's storage then holds D and
+    # the cutoffs, and the scratch holds a, then |S*|
+    storage, scratch = np.empty(2 * size), np.empty(max(size, x.size))
+    prod, d, cuts = storage[: p * p].reshape(p, p), storage[:size], storage[size:]
+    a, star = scratch[: x.size].reshape(x.shape), scratch[:size]
+    bins, mask = np.empty(size, dtype=np.intp), np.empty(size, dtype=bool)
+    total = np.zeros(g)
+    for w in u:
+        np.multiply(x, np.sqrt(np.abs(w) / n), out=a)
+        np.matmul(a, a.T, out=prod)
+        neg = w < 0
+        if neg.any():
+            a_neg = a[:, neg]
+            prod -= 2.0 * (a_neg @ a_neg.T)
+        np.take(storage, take, out=star)
+        np.abs(np.subtract(star, s_up, out=d), out=d)
+        d -= np.abs(s_up, out=cuts)
+        _cutoff_bins(np.abs(star, out=star), ext, step, bins, cuts, mask)
+        bins += col_slot
+        sums = np.bincount(bins, d, minlength=(p + 1) * (g + 1))
+        bins += shift
+        sums += np.bincount(bins, d, minlength=(p + 1) * (g + 1))
+        kept = np.cumsum(sums.reshape(p + 1, g + 1)[:p, :0:-1], axis=1)[:, ::-1]
+        total += (col_abs + kept).max(axis=0)
     return (total / len(u))[np.argsort(order)]
 
 

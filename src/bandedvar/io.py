@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import BandedVarError, DataFormatError
 from .model import BandedVarModel, TimeSeries
 
 __all__ = [
@@ -173,7 +173,10 @@ def load_model_json(path):
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: line {exc.lineno}: {exc.msg}", line=exc.lineno) from None
-    model = BandedVarModel.from_dict(data)
+    try:
+        model = BandedVarModel.from_dict(data)
+    except (TypeError, ValueError, BandedVarError) as exc:  # a malformed document
+        raise DataFormatError(f"{path}: {exc}") from exc
     means = data.get("means")
     return model, None if means is None else np.asarray(means, dtype=float)
 

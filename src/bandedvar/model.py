@@ -171,7 +171,12 @@ class BandedVarModel:
         if version == 1:
             coeffs = [BandedMatrix.from_dense(np.asarray(a, float), min(k0, p - 1)) for a in lags]
         elif version == SCHEMA_VERSION:
-            coeffs = [BandedMatrix(p, (len(diags) - 1) // 2, diags) for diags in lags]
+            coeffs = []
+            for ell, diags in enumerate(lags, 1):
+                try:
+                    coeffs.append(BandedMatrix(p, (len(diags) - 1) // 2, diags))
+                except ValueError as exc:  # name the malformed lag
+                    raise ValueError(f"lag {ell}: {exc}") from None
         else:
             raise BandedVarError(f"unsupported model document schema_version {version!r}")
         sigma = data.get("sigma_eps")

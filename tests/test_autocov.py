@@ -1,5 +1,7 @@
 """Sample autocovariances, banding/thresholding, bootstrap tuning."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,9 @@ from bandedvar import (
     theoretical_autocov_var1,
 )
 from bandedvar.autocov import (
+    _band_risks,
     _cutoff_bins,
+    _symmetric_threshold_risks,
     _threshold_risks,
     default_band_grid,
     default_threshold_grid,
@@ -42,6 +46,11 @@ def exponential(g, size):
 
 def unit_weights(g, size):
     return np.ones(size)
+
+
+def signed_weights(g, size):
+    """Unit mean and variance, negative about one time in six."""
+    return 1.0 + g.standard_normal(size)
 
 
 def brute_force_risk(ts, j, method, grid, q, rng, weights=exponential):
@@ -298,7 +307,7 @@ class TestEstimateAutocov:
 
 class TestRiskMatchesBruteForce:
     @pytest.mark.parametrize("j", [0, 1, 3])
-    @pytest.mark.parametrize("weights", [exponential, unit_weights])
+    @pytest.mark.parametrize("weights", [exponential, unit_weights, signed_weights])
     def test_default_grids(self, j, weights):
         _, ts = table4_style_panel(20, 60, seed=40 + j)
         sample = sample_autocov(ts, j)
@@ -390,6 +399,33 @@ def searchsorted_threshold_risks(left, right, u, n, sample, grid):
     return (total / len(u))[np.argsort(order)]
 
 
+def symmetric_searchsorted_threshold_risks(x, u, n, sample, grid):
+    """The lag-0 oracle: S* formed as the lag-0 loop forms it, a matrix times
+    its transpose (numpy computes the upper triangle and mirrors it); each
+    column sums its entries on and above the diagonal, then those below it,
+    as the loop's two bincounts do."""
+    p, g = len(sample), grid.size
+    order = np.argsort(grid, kind="stable")
+    abs_s = np.abs(sample)
+    slot = np.arange(p) * (g + 1)
+    upper = np.triu(np.ones((p, p), dtype=bool))
+    total = np.zeros(g)
+    for w in u:
+        a = x * np.sqrt(np.abs(w) / n)
+        star = a @ a.T
+        if (w < 0).any():
+            a_neg = a[:, w < 0]
+            star -= 2.0 * (a_neg @ a_neg.T)
+        assert np.array_equal(star, star.T)
+        d = abs(star - sample) - abs_s
+        bins = np.searchsorted(grid[order], np.abs(star), side="left") + slot
+        sums = np.bincount(bins[upper], d[upper], minlength=p * (g + 1))
+        sums += np.bincount(bins[~upper], d[~upper], minlength=p * (g + 1))
+        kept = np.cumsum(sums.reshape(p, g + 1)[:, :0:-1], axis=1)[:, ::-1]
+        total += (abs_s.sum(axis=0)[:, None] + kept).max(axis=0)
+    return (total / len(u))[np.argsort(order)]
+
+
 def cutoff_bins(grid, values):
     """``_cutoff_bins`` over ``values`` with the grid set up as ``_threshold_risks`` does."""
     sgrid = np.sort(np.asarray(grid, dtype=float))
@@ -452,7 +488,7 @@ class TestCutoffBins:
 
 
 class TestRiskMatchesSearchsorted:
-    """The replicate loop is bitwise the binary-search loop it replaced."""
+    """The replicate loops are bitwise the binary-search loops they replaced."""
 
     @staticmethod
     def assert_bitwise(ts, j, weights, grids, q=6):
@@ -463,12 +499,17 @@ class TestRiskMatchesSearchsorted:
         sample = sample_autocov(ts, j)
         for grid in grids(sample):
             grid = np.asarray(grid, dtype=float)
-            args = (xc[:, : n - j], xc[:, j:], u, n, sample, grid)
-            old = searchsorted_threshold_risks(*args)
-            assert _threshold_risks(*args).tobytes() == old.tobytes()
+            if j == 0:
+                args = (xc, u, n, sample, grid)
+                old = symmetric_searchsorted_threshold_risks(*args)
+                assert _symmetric_threshold_risks(*args).tobytes() == old.tobytes()
+            else:
+                args = (xc[:, : n - j], xc[:, j:], u, n, sample, grid)
+                old = searchsorted_threshold_risks(*args)
+                assert _threshold_risks(*args).tobytes() == old.tobytes()
 
     @pytest.mark.parametrize("j", [0, 1, 3])
-    @pytest.mark.parametrize("weights", [exponential, unit_weights])
+    @pytest.mark.parametrize("weights", [exponential, unit_weights, signed_weights])
     def test_lags_and_weights(self, j, weights):
         _, ts = table4_style_panel(40, 70, seed=60 + j)
 
@@ -490,6 +531,33 @@ class TestRiskMatchesSearchsorted:
             self.assert_bitwise(ts, j, exponential, grids)
         risk = bootstrap_select_threshold(ts, 0, q=3, rng=1)
         assert risk.argmin == 0.0 and not risk.risk.any()
+
+
+class TestLagZeroHalf:
+    """Lag 0 scores each symmetric replicate from one half of it."""
+
+    @pytest.mark.parametrize("weights", [exponential, signed_weights])
+    def test_band_curve_is_bitwise_both_diagonals(self, weights):
+        _, ts = table4_style_panel(30, 60, seed=62)
+        xc = ts.values - ts.values.mean(axis=1, keepdims=True)
+        rng = substream(62, "boot")
+        u = np.stack([weights(rng, ts.n) for _ in range(5)])
+        args = (xc, xc, u, ts.n, sample_autocov(ts, 0), default_band_grid(ts.n, ts.p))
+        both = _band_risks(*args)  # forms diagonals o and -o apart
+        assert _band_risks(*args, symmetric=True).tobytes() == both.tobytes()
+
+    def test_threshold_peak_memory_no_higher_than_lag_one(self):
+        # the lag-0 work arrays reuse the product's storage and the scratch
+        _, ts = table4_style_panel(300, 200, seed=63)
+        peaks = []
+        for j in (0, 1):
+            tracemalloc.start()
+            try:
+                bootstrap_select_threshold(ts, j, q=5, rng=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
 
 
 # (grid position of the pick, the pick, the risk curve). Both threshold picks

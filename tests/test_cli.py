@@ -123,6 +123,29 @@ class TestFitAndForecast:
         assert option[0] in err and "--model" in err
         assert not list(tmp_path.glob("pred.*"))
 
+    MALFORMED = {
+        "schema_version 3": (lambda doc: doc.update(schema_version=3), "schema_version 3"),
+        "lag with 4 diagonals": (
+            lambda doc: doc["coeffs"][0].append(doc["coeffs"][0][0]),
+            "lag 1: expected 3 diagonals, got 4",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_model_exits_one_naming_the_file(self, tmp_path, capsys, case):
+        edit, message = self.MALFORMED[case]
+        out = simulate_panel(tmp_path, p=6, n=60, k0=1, seed=9)
+        assert run("fit", "--data", f"{out}.csv", "--k", 1, "--out", tmp_path / "fit") == 0
+        path = tmp_path / "fit.model.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run("forecast", "--data", f"{out}.csv", "--model", path, "--out", tmp_path / "pred")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(path) in err and message in err
+
     def test_model_takes_default_fitting_options(self, tmp_path):
         out = simulate_panel(tmp_path, p=6, n=60, k0=1, seed=9)
         assert run("fit", "--data", f"{out}.csv", "--k", 1, "--out", tmp_path / "fit") == 0
