@@ -17,9 +17,10 @@ sum_i |S_ic| plus D over the entries it keeps. Banding needs only the diagonals
 |o| <= max(grid) of S*, one (p - |o|) x n x q product each, and a running column
 sum of D scores every half-width: O(p r_max n q) in all. Thresholding forms each
 replicate (O(p^2 n)) into work arrays made once per call, bins its entries by
-the number of cutoffs below |S*| (estimated from the mean cutoff spacing and
-searched where that is off: O(p^2) on the default grid), sums D per (column,
-bin) and scores all G cutoffs from one suffix sum. At lag 0, S and every S* are
+the number of cutoffs below |S*| (min(ceil(|S*| / step), G) on an evenly spaced
+grid, searched only where |S*| / step is within rounding of a whole number, and
+searched in full on any other grid), sums D per (column, bin) and scores all G
+cutoffs from one suffix sum. At lag 0, S and every S* are
 symmetric: banding forms diagonals o and -o as one product, and thresholding
 forms only the upper triangle of each replicate (one ``dsyrk``, half the
 product) and bins its p(p + 1)/2 entries, each off-diagonal one counting in its
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BandedVarError
 from .model import TimeSeries
 from .rng import substream
 
@@ -56,8 +58,14 @@ def sample_autocov(ts: TimeSeries, j: int) -> np.ndarray:
     n = ts.n
     if not 0 <= j < n:
         raise ValueError(f"lag {j} out of range for a series of length {n}")
-    xc = ts.values - ts.values.mean(axis=1, keepdims=True)
-    return (xc[:, : n - j] @ xc[:, j:].T) / n
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        xc = ts.values - ts.values.mean(axis=1, keepdims=True)
+        sample = (xc[:, : n - j] @ xc[:, j:].T) / n
+    if not np.isfinite(sample).all():
+        row, col = np.argwhere(~np.isfinite(sample))[0].tolist()
+        raise BandedVarError(f"lag-{j} sample autocovariance is not finite at entry "
+                             f"({row}, {col}): its products overflow; rescale the series")
+    return sample
 
 
 def band(h, r: int) -> np.ndarray:
@@ -91,8 +99,8 @@ def default_band_width(n: int, p: int, c: float = 1.0) -> int:
 
 
 def default_band_grid(n: int, p: int) -> np.ndarray:
-    """Candidate truncation levels 0..min(p-1, 2 * rule + 5)."""
-    return np.arange(0, min(p - 1, 2 * default_band_width(n, p, 1.0) + 5) + 1)
+    """Candidate truncation levels 0..min(p-1, 2 * rule + 5); only 0 when p = 1."""
+    return np.arange(min(p - 1, 2 * default_band_width(n, p, 1.0) + 5) + 1 if p > 1 else 1)
 
 
 def default_threshold_grid(sample: np.ndarray) -> np.ndarray:
@@ -127,9 +135,11 @@ def _bootstrap_select(ts, j, sample, grid, q, rng, weights, method) -> Bootstrap
     if grid is None:
         grid = default_band_grid(ts.n, ts.p) if banding else default_threshold_grid(sample)
     grid = np.asarray(grid, dtype=None if banding else float)
+    if grid.ndim != 1:
+        raise ValueError(f"candidate grid must be one-dimensional, got shape {grid.shape}")
     if grid.size == 0:
         raise ValueError("empty candidate grid")
-    for pos, value in enumerate(grid.ravel().tolist()):
+    for pos, value in enumerate(grid.tolist()):
         if not (0 <= value < math.inf and (value == round(value) or not banding)):
             kind = "whole" if banding else "finite"
             raise ValueError(f"grid entry {value!r} at position {pos} is not a {kind} number >= 0")
@@ -180,56 +190,72 @@ def _band_risks(left, right, u, n, sample, grid, symmetric=False):
     return curve[np.minimum(grid, p - 1).astype(int)]
 
 
-def _cutoff_bins(a, ext, step, bins, cuts, mask):
-    """Set ``bins`` in place to the number of cutoffs strictly below each ``a``.
+def _sorted_cutoffs(grid):
+    """The grid's sort order, its sorted cutoffs, and ``_cutoff_bins``'s inv and tol."""
+    order = np.argsort(grid, kind="stable")
+    sgrid, g = grid[order], grid.size
+    step = float(sgrid[-1]) / (g - 1) if g > 1 else 0.0
+    inv = 1.0 / step if step > 0 else math.inf  # a float quotient past the range is inf
+    tol = float(np.abs(sgrid * inv - np.arange(g)).max()) if inv < math.inf else math.inf
+    return order, sgrid, inv, tol
 
-    ``ext`` is the sorted grid between -inf and +inf sentinels; ``cuts`` and
-    ``mask`` are scratch of ``a``'s shape. The estimate min(ceil(a / step), G)
-    (0 when step is 0) is checked over all entries against the cutoffs on
-    either side of its bin, as ``np.histogram`` bins by uniform edges; only
-    the entries where it is off are counted by ``np.searchsorted``, so any
-    sorted grid gets the exact count. On the default ``linspace`` grid,
-    fl(a / step) and grid[k] - k * step are within a few ulps, so the
-    estimate is at most one bin off and only entries next to a cutoff are
-    searched.
+
+def _cutoff_bins(star, sgrid, inv, tol, slot, bins, r, near, mask):
+    """Set ``bins`` to ``slot`` plus the number of cutoffs ``sgrid`` strictly below |star|.
+
+    ``slot`` (whole numbers, as floats) broadcasts against ``star``; ``r``,
+    ``near`` (float) and ``mask`` (bool) are scratch of its shape. With
+    r = fl(|S*| inv), inv = fl(1 / step), an entry's bin is min(ceil(r), G),
+    but ``np.searchsorted`` counts the entries whose r is within ``tol`` of a
+    whole number. The count is exact: fl(x inv) is nondecreasing in x, so with
+    c_k = fl(grid_k inv), r > c_k implies grid_k < |S*| and r < c_k implies
+    grid_k >= |S*|. For tol = max_k |c_k - k| and an r more than tol from every
+    whole number, each k < r has c_k <= k + tol < r and each k > r has
+    c_k >= k - tol > r, so the cutoffs below |S*| are those with k < r. The
+    rounding margin on top of tol is zero: c_k is rounded as r is, r - rint(r)
+    is exact, and so is c_k - k below 1/2 (Sterbenz), while a larger one still
+    computes to at least 1/2. At tol >= 1/2 (a grid far from evenly spaced)
+    every entry is near a whole number, so all are searched, as they are when
+    step is 0 or 1 / step overflows (tol = inf). An r of inf (|S*| / step past
+    the float range) or NaN lands in bin G, as ``np.searchsorted`` puts it.
     """
-    if step > 0:
-        with np.errstate(over="ignore"):  # a / step beyond the float range caps at G
-            np.fmin(np.ceil(np.divide(a, step, out=cuts), out=cuts), len(ext) - 2, out=cuts)
-        np.copyto(bins, cuts, casting="unsafe")  # inf lands in bin G
-    else:
-        bins.fill(0)
-    np.greater_equal(np.take(ext, bins, out=cuts, mode="clip"), a, out=mask)
-    high = np.flatnonzero(mask)  # too high: the cutoff below bin b is not below a
-    np.less(np.take(ext[1:], bins, out=cuts, mode="clip"), a, out=mask)
-    idx = np.concatenate([high, np.flatnonzero(mask)])  # or too low: the one above is
-    bins.reshape(-1)[idx] = np.searchsorted(ext[1:-1], a.reshape(-1)[idx], side="left")
+    if not tol < 0.5:
+        np.add(np.searchsorted(sgrid, np.abs(star, out=r)), slot, out=bins, casting="unsafe")
+        return
+    with np.errstate(over="ignore", invalid="ignore"):  # r = inf: inf - inf is NaN, not near
+        np.multiply(np.abs(star, out=r), inv, out=r)
+        np.abs(np.subtract(r, np.rint(r, out=near), out=near), out=near)
+        np.less_equal(near, tol, out=mask)
+        np.fmin(np.ceil(r, out=r), sgrid.size, out=r)
+    idx = np.flatnonzero(mask)
+    fix = np.searchsorted(sgrid, np.abs(star.reshape(-1)[idx])) - r.reshape(-1)[idx].astype(np.intp)
+    np.copyto(bins, np.add(r, slot, out=r), casting="unsafe")  # the one float -> intp cast
+    bins.reshape(-1)[idx] += fix
 
 
 def _threshold_risks(left, right, u, n, sample, grid):
     """Every cutoff's risk from per-column sums of D binned by sorted cutoff."""
     p, g = len(sample), grid.size
-    order = np.argsort(grid, kind="stable")
-    ext = np.concatenate([[-np.inf], grid[order], [np.inf]])
-    step = ext[-2] / (g - 1) if g > 1 else 0.0
+    order, sgrid, inv, tol = _sorted_cutoffs(grid)
     abs_s = np.abs(sample)
-    slot = np.arange(p) * (g + 1)  # bincount index of (column c, bin 0)
-    # work arrays for all replicates; the scratch holds left * w, then the cutoffs
+    col_abs = abs_s.sum(axis=0)[:, None]
+    slot = np.arange(p) * float(g + 1)  # bincount index of (column c, bin 0)
+    # work arrays for all replicates; the scratch holds left * w, then r, and
+    # D's array is the binning's scratch until D is formed
     star, d, scratch = np.empty((p, p)), np.empty((p, p)), np.empty(max(p * p, left.size))
     bins, mask = np.empty((p, p), dtype=np.intp), np.empty((p, p), dtype=bool)
-    weighted, cuts = scratch[: left.size].reshape(left.shape), scratch[: p * p].reshape(p, p)
+    weighted, r = scratch[: left.size].reshape(left.shape), scratch[: p * p].reshape(p, p)
     total = np.zeros(g)
     for w in u:
         np.matmul(np.multiply(left, w, out=weighted), right.T, out=star)
         star /= n
+        # bin b = number of cutoffs below |S*|: kept for the sorted cutoffs before b
+        _cutoff_bins(star, sgrid, inv, tol, slot, bins, r, d, mask)
         np.abs(np.subtract(star, sample, out=d), out=d)
         d -= abs_s
-        # bin b = number of cutoffs below |S*|: kept for the sorted cutoffs before b
-        _cutoff_bins(np.abs(star, out=star), ext, step, bins, cuts, mask)
-        bins += slot
         sums = np.bincount(bins.ravel(), d.ravel(), minlength=p * (g + 1))
         kept = np.cumsum(sums.reshape(p, g + 1)[:, :0:-1], axis=1)[:, ::-1]
-        total += (abs_s.sum(axis=0)[:, None] + kept).max(axis=0)
+        total += (col_abs + kept).max(axis=0)
     return (total / len(u))[np.argsort(order)]
 
 
@@ -246,23 +272,23 @@ def _symmetric_threshold_risks(x, u, n, sample, grid):
     slots.
     """
     p, g = len(sample), grid.size
-    order = np.argsort(grid, kind="stable")
-    ext = np.concatenate([[-np.inf], grid[order], [np.inf]])
-    step = ext[-2] / (g - 1) if g > 1 else 0.0
+    order, sgrid, inv, tol = _sorted_cutoffs(grid)
     col_abs = np.abs(sample).sum(axis=0)[:, None]
-    row, col_slot = np.triu_indices(p)
-    s_up, take = sample[row, col_slot], row * p
-    take += col_slot  # positions of the upper triangle in the product, row by row
-    shift = np.where(row == col_slot, p, row)
+    row, col = np.triu_indices(p)
+    s_up, take = sample[row, col], row * p
+    take += col  # positions of the upper triangle in the product, row by row
+    shift = np.where(row == col, p, row)
     del row
-    col_slot *= g + 1  # bincount index of (column, bin 0)
-    shift *= g + 1
-    shift -= col_slot  # on to (row, bin 0)
+    shift -= col
+    shift *= g + 1  # from (column, bin) on to (row, bin)
+    col_slot = col * float(g + 1)  # bincount index of (column, bin 0)
+    del col
     size = take.size
-    # work arrays for all replicates: the product's storage then holds D and
-    # the cutoffs, and the scratch holds a, then |S*|
+    # work arrays for all replicates: the product's storage then holds the
+    # binning's scratch (D's half until D is formed) and r, and the scratch
+    # holds a, then S*
     storage, scratch = np.empty(2 * size), np.empty(max(size, x.size))
-    prod, d, cuts = storage[: p * p].reshape(p, p), storage[:size], storage[size:]
+    prod, d, r = storage[: p * p].reshape(p, p), storage[:size], storage[size:]
     a, star = scratch[: x.size].reshape(x.shape), scratch[:size]
     bins, mask = np.empty(size, dtype=np.intp), np.empty(size, dtype=bool)
     total = np.zeros(g)
@@ -274,10 +300,9 @@ def _symmetric_threshold_risks(x, u, n, sample, grid):
             a_neg = a[:, neg]
             prod -= 2.0 * (a_neg @ a_neg.T)
         np.take(storage, take, out=star)
+        _cutoff_bins(star, sgrid, inv, tol, col_slot, bins, r, d, mask)
         np.abs(np.subtract(star, s_up, out=d), out=d)
-        d -= np.abs(s_up, out=cuts)
-        _cutoff_bins(np.abs(star, out=star), ext, step, bins, cuts, mask)
-        bins += col_slot
+        d -= np.abs(s_up, out=r)
         sums = np.bincount(bins, d, minlength=(p + 1) * (g + 1))
         bins += shift
         sums += np.bincount(bins, d, minlength=(p + 1) * (g + 1))

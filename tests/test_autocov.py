@@ -1,6 +1,8 @@
 """Sample autocovariances, banding/thresholding, bootstrap tuning."""
 
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandedvar import (
+    BandedVarError,
     BandedVarModel,
     TimeSeries,
     band,
@@ -26,6 +29,7 @@ from bandedvar import (
 from bandedvar.autocov import (
     _band_risks,
     _cutoff_bins,
+    _sorted_cutoffs,
     _symmetric_threshold_risks,
     _threshold_risks,
     default_band_grid,
@@ -98,6 +102,20 @@ class TestSampleAutocov:
         with pytest.raises(ValueError, match="lag"):
             sample_autocov(ts, 5)
 
+    @pytest.mark.parametrize("method", ["sample", "banded", "thresholded"])
+    def test_overflow_names_lag_and_entry(self, method):
+        # only the last series is huge: its own products overflow, its
+        # products with the others do not
+        values = substream(0, "wn").standard_normal((5, 40))
+        values[4] *= 1e200
+        ts = TimeSeries(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BandedVarError, match=r"lag-1 .* at entry \(4, 4\)"):
+                estimate_autocov(ts, 1, method=method, q=2, rng=1)
+            with pytest.raises(BandedVarError, match=r"lag-0 .* at entry \(0, 0\)"):
+                estimate_autocov(TimeSeries(1e200 * values[:4]), 0, method=method, q=2, rng=1)
+
 
 class TestBandingOperator:
     def test_full_width_is_identity(self):
@@ -159,6 +177,14 @@ class TestDefaultBandWidth:
             default_band_width( 2, 100, 1.0)
         with pytest.raises(ValueError):
             default_band_width(200, 100, 0.0)
+
+    def test_single_series_grid_is_zero(self):
+        # the rule needs log p > 0, but the only half-width at p = 1 is 0
+        assert default_band_grid(40, 1).tolist() == [0]
+        ts = TimeSeries(substream(0, "wn").standard_normal((1, 40)))
+        est = estimate_autocov(ts, 0, method="banded", q=3, rng=1)
+        assert est.tuning["r"] == 0 and est.risk.grid.tolist() == [0]
+        assert est.matrix[0, 0] == sample_autocov(ts, 0)[0, 0]
 
 
 class TestBootstrapSelection:
@@ -427,14 +453,15 @@ def symmetric_searchsorted_threshold_risks(x, u, n, sample, grid):
 
 
 def cutoff_bins(grid, values):
-    """``_cutoff_bins`` over ``values`` with the grid set up as ``_threshold_risks`` does."""
-    sgrid = np.sort(np.asarray(grid, dtype=float))
-    ext = np.concatenate([[-np.inf], sgrid, [np.inf]])
-    step = sgrid[-1] / (sgrid.size - 1) if sgrid.size > 1 else 0.0
-    a = np.asarray(values, dtype=float).reshape(1, -1)
+    """``_cutoff_bins`` over ``values`` with the grid set up as the replicate loops do,
+    less the bincount slots it adds (entries of alternating sign: it bins |values|)."""
+    _, sgrid, inv, tol = _sorted_cutoffs(np.asarray(grid, dtype=float))
+    a = np.asarray(values, dtype=float) * (-1.0) ** np.arange(len(values))
+    slot = 1000.0 * np.arange(a.size)
     bins = np.full(a.shape, -7, dtype=np.intp)
-    _cutoff_bins(a, ext, step, bins, np.empty(a.shape), np.empty(a.shape, dtype=bool))
-    return bins.ravel()
+    _cutoff_bins(a, sgrid, inv, tol, slot, bins, np.empty(a.shape), np.empty(a.shape),
+                 np.empty(a.shape, dtype=bool))
+    return bins - slot.astype(np.intp)
 
 
 def awkward_grid(kind, top, rng):
@@ -448,6 +475,11 @@ def awkward_grid(kind, top, rng):
         "geometric": lambda: np.append(0.0, top * 2.0 ** -np.arange(20)),
         "bunched": lambda: np.append(0.0, np.linspace(0.9 * top, top, 30)),
         "bunched_long": lambda: np.append(0.0, np.linspace(0.9 * top, top, 89)),
+        # the step is the top over G - 1, so moving the top one ulp moves every k * step
+        "top_ulp_up": lambda: np.append(np.linspace(0.0, top, 21)[:-1], np.nextafter(top, np.inf)),
+        "top_ulp_down": lambda: np.append(np.linspace(0.0, top, 21)[:-1], np.nextafter(top, 0.0)),
+        "arange": lambda: np.arange(21) * (top / 20),
+        "tiny": lambda: np.linspace(0.0, 1e-307, 21),  # 1 / step overflows
     }[kind]()
 
 
@@ -458,7 +490,7 @@ class TestCutoffBins:
     @given(
         kind=st.sampled_from(
             ["linspace", "zeros", "duplicates", "permuted", "long", "single", "geometric",
-             "bunched", "bunched_long"]
+             "bunched", "bunched_long", "top_ulp_up", "top_ulp_down", "arange", "tiny"]
         ),
         top=st.one_of(st.floats(1e-300, 1e300), st.sampled_from([5e-324, 1.0, 0.3])),
         seed=st.integers(0, 2**16),
@@ -467,9 +499,11 @@ class TestCutoffBins:
     def test_equals_searchsorted(self, kind, top, seed, extra):
         grid = awkward_grid(kind, top, substream(seed, "grid"))
         cuts = np.unique(grid)
+        steps = np.arange(grid.size) * (cuts[-1] / max(grid.size - 1, 1))  # every k * step
         probes = np.concatenate([
             cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf),
             (cuts[:-1] + cuts[1:]) / 2, [0.0, 1.5 * cuts[-1] + 1.0, np.inf], extra,
+            steps, np.nextafter(steps, -np.inf), np.nextafter(steps, np.inf),
         ])
         probes = probes[probes >= 0]  # |S*| is never negative
         expected = np.searchsorted(np.sort(grid), probes, side="left")
@@ -693,6 +727,14 @@ class TestTuningValidation:
         _, ts = table4_style_panel(10, 50, seed=50)
         with pytest.raises(ValueError, match=f"grid entry {bad} at position 1"):
             bootstrap_select_threshold(ts, 0, grid=[0.1, bad, 0.2], q=2)
+
+    @pytest.mark.parametrize("select", [bootstrap_select_band, bootstrap_select_threshold])
+    @pytest.mark.parametrize("grid", [2, [[0, 1]], np.zeros((2, 0))])
+    def test_grid_shape_named(self, select, grid):
+        _, ts = table4_style_panel(10, 50, seed=50)
+        shape = np.shape(grid)
+        with pytest.raises(ValueError, match=f"one-dimensional, got shape {re.escape(str(shape))}"):
+            select(ts, 0, grid=grid, q=2)
 
     @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
     def test_bad_cutoff_rejected(self, bad):

@@ -388,6 +388,28 @@ class TestAutocovCommand:
         top_right = float(rows[0][-1])
         assert top_right == 0.0  # outside the band
 
+    def test_overflowing_series_exit_code_two(self, tmp_path, capsys):
+        values = substream(0, "x").standard_normal((5, 40))
+        values[2] *= 1e200
+        write_timeseries_csv(tmp_path / "big.csv", TimeSeries(values))
+        for method in ("sample", "banded", "thresholded"):
+            code = run("autocov", "--data", tmp_path / "big.csv", "--lag", 1,
+                       "--method", method, "--q", 2, "--out", tmp_path / "cov")
+            assert code == 2
+            assert "lag-1 sample autocovariance is not finite at entry (2, 2)" in (
+                capsys.readouterr().err
+            )
+        assert not (tmp_path / "cov.csv").exists()
+
+    def test_single_series_banded(self, tmp_path):
+        values = substream(0, "x").standard_normal((1, 60))
+        write_timeseries_csv(tmp_path / "one.csv", TimeSeries(values))
+        code = run("autocov", "--data", tmp_path / "one.csv", "--method", "banded",
+                   "--q", 3, "--out", tmp_path / "cov")
+        assert code == 0
+        meta = json.loads((tmp_path / "cov.meta.json").read_text())
+        assert meta["tuning"]["r"] == 0 and meta["risk"]["grid"] == [0]
+
 
 class TestBenchCommand:
     def test_single_rep_degenerate_frequencies(self, tmp_path):
