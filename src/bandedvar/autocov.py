@@ -158,14 +158,26 @@ def _bootstrap_select(ts, j, sample, grid, q, rng, weights, method) -> Bootstrap
             raise ValueError(f"bootstrap replicate {k}: need {n - j} finite weights, got {got}")
         draws.append(u)
     xc = ts.values - ts.values.mean(axis=1, keepdims=True)
+    cuts, e = grid, 0
+    big = max(xc.max(), -xc.min())
+    if big and not 2.0**-400 < big < 2.0**400:
+        # a replicate's products or column sums would leave the float range
+        # although S is finite: scale the series by an exact power of two, S
+        # and the cutoffs by its square, and the risk curve back, as
+        # linalg.spectral_norm does
+        e = int(np.frexp(big)[1])
+        xc, sample = np.ldexp(xc, -e), np.ldexp(sample, -2 * e)
+        cuts = grid if banding else np.ldexp(grid, -2 * e)
     left, right, u = xc[:, : n - j], xc[:, j:], np.stack(draws)
     if banding:
-        risks = _band_risks(left, right, u, n, sample, grid, symmetric=j == 0)
+        risks = _band_risks(left, right, u, n, sample, cuts, symmetric=j == 0)
     elif j == 0:
-        risks = _symmetric_threshold_risks(xc, u, n, sample, grid)
+        risks = _symmetric_threshold_risks(xc, u, n, sample, cuts)
     else:
-        risks = _threshold_risks(left, right, u, n, sample, grid)
+        risks = _threshold_risks(left, right, u, n, sample, cuts)
     argmin = (int if banding else float)(grid[np.argmin(risks)])  # ties: first position
+    if e:
+        risks = np.ldexp(risks, 2 * e)
     return BootstrapRisk(grid=grid, risk=risks, q=q, argmin=argmin, lag=j, method=method)
 
 

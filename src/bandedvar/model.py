@@ -6,11 +6,18 @@ panel, the companion-form stationarity check, and the implied autocovariances
 of first-order models. Their variance sums the series
 sigma_eps + sum_i A^i sigma_eps (A^T)^i by doubling to machine precision, and
 the truncation gap uses the exact tail A^(r+1) sigma0 (A^(r+1))^T.
+
+The innovation covariance may be a dense array or a symmetric
+:class:`BandedMatrix` (the structured designs' B B^T); a band is checked,
+stored and written as its diagonals, and only the implied autocovariances,
+dense by nature, densify it. Model documents take the lowest
+``schema_version`` that holds them: 3 when sigma_eps is a band, else 2.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import eigvals_banded
 
 from .errors import BandedVarError, NonStationaryError
 from .linalg import BandedMatrix, frobenius_norm, l1_norm, spectral_norm, spectral_radius
@@ -24,7 +31,7 @@ __all__ = [
     "banded_approximation_gap",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3  # the version of a document with a banded sigma_eps
 
 
 class TimeSeries:
@@ -92,11 +99,12 @@ class BandedVarModel:
     """Banded vector autoregression: y_t = A_1 y_{t-1} + ... + A_d y_{t-d} + e_t.
 
     Every coefficient matrix is banded with bandwidth parameter at most
-    ``k0``. ``sigma_eps``, when present, must be symmetric positive
-    semi-definite; None means identity innovations, which is how simulation
-    and the implied autocovariances read it. Fitted models carry None, so
-    their implied autocovariances assume unit innovations. Instances are
-    immutable.
+    ``k0``. ``sigma_eps``, when present, is a dense array or a
+    :class:`BandedMatrix` and must be symmetric (within 1e-12) positive
+    semi-definite (lowest eigenvalue not below -1e-10); None means identity
+    innovations, which is how simulation and the implied autocovariances read
+    it. Fitted models carry None, so their implied autocovariances assume unit
+    innovations. Instances are immutable.
     """
 
     __slots__ = ("p", "d", "k0", "coeffs", "sigma_eps")
@@ -119,17 +127,27 @@ class BandedVarModel:
                 raise ValueError(f"coefficient dimension {a.p} does not match p={p}")
             if a.k > k0:
                 raise ValueError(f"coefficient bandwidth {a.k} exceeds k0={k0}")
-        if sigma_eps is not None:
+        if isinstance(sigma_eps, BandedMatrix):
+            if sigma_eps.p != p:
+                raise ValueError(f"sigma_eps dimension {sigma_eps.p} does not match p={p}")
+            k, diags = sigma_eps.k, sigma_eps.diagonals
+            asym = max((np.abs(diags[k + o] - diags[k - o]).max() for o in range(1, k + 1)),
+                       default=0.0)
+            # rows k..2k of the packed band are LAPACK's lower symmetric band form
+            low = eigvals_banded(sigma_eps._packed[k:], lower=True, select="i",
+                                 select_range=(0, 0), check_finite=False)[0]
+        elif sigma_eps is not None:
             sigma_eps = np.array(sigma_eps, dtype=float)
             if sigma_eps.shape != (p, p):
                 raise ValueError(f"sigma_eps must be {p} x {p}")
             diff = sigma_eps - sigma_eps.T
-            asym = np.abs(diff, out=diff).max()
+            asym, low = np.abs(diff, out=diff).max(), np.linalg.eigvalsh(sigma_eps)[0]
+            sigma_eps.flags.writeable = False
+        if sigma_eps is not None:
             if asym > 1e-12:
                 raise ValueError(f"sigma_eps asymmetry {asym:.3e} exceeds 1e-12")
-            if np.linalg.eigvalsh(sigma_eps).min() < -1e-10:
+            if low < -1e-10:
                 raise ValueError("sigma_eps has an eigenvalue below -1e-10")
-            sigma_eps.flags.writeable = False
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "k0", k0)
@@ -140,17 +158,24 @@ class BandedVarModel:
         raise AttributeError("BandedVarModel is immutable")
 
     def to_dict(self, means=None) -> dict:
-        """JSON-ready form, ``schema_version`` 2: each lag as the 2k + 1
-        diagonals of its stored bandwidth k (lowest first, as
-        :attr:`BandedMatrix.diagonals`), p(2k + 1) numbers instead of p^2."""
+        """JSON-ready form: each lag as the 2k + 1 diagonals of its stored
+        bandwidth k (lowest first, as :attr:`BandedMatrix.diagonals`),
+        p(2k + 1) numbers instead of p^2. A banded ``sigma_eps`` is written the
+        same way, as ``{"diagonals": [...]}``, a form no dense list takes, in
+        ``schema_version`` 3; any other document is ``schema_version`` 2, which
+        a dense ``sigma_eps`` (a list of p rows) or none leaves readable as
+        before."""
+        banded = isinstance(self.sigma_eps, BandedMatrix)
         out = {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": SCHEMA_VERSION if banded else 2,
             "p": self.p,
             "d": self.d,
             "k0": self.k0,
             "coeffs": [[diag.tolist() for diag in a.diagonals] for a in self.coeffs],
         }
-        if self.sigma_eps is not None:
+        if banded:
+            out["sigma_eps"] = {"diagonals": [diag.tolist() for diag in self.sigma_eps.diagonals]}
+        elif self.sigma_eps is not None:
             out["sigma_eps"] = self.sigma_eps.tolist()
         if means is not None:
             out["means"] = np.asarray(means, dtype=float).tolist()
@@ -159,7 +184,9 @@ class BandedVarModel:
     @classmethod
     def from_dict(cls, data: dict) -> "BandedVarModel":
         """Inverse of :meth:`to_dict`; re-validates the band structure. Version 1
-        documents, with dense p x p lags, load at bandwidth min(k0, p - 1)."""
+        documents, with dense p x p lags, load at bandwidth min(k0, p - 1); a
+        version 3 document must hold its ``sigma_eps`` as a band, and no other
+        version may."""
         try:
             version = data["schema_version"]
             p = int(data["p"])
@@ -170,20 +197,30 @@ class BandedVarModel:
             raise BandedVarError(f"invalid model document: {exc}") from exc
         if version == 1:
             coeffs = [BandedMatrix.from_dense(np.asarray(a, float), min(k0, p - 1)) for a in lags]
-        elif version == SCHEMA_VERSION:
-            coeffs = []
-            for ell, diags in enumerate(lags, 1):
-                try:
-                    coeffs.append(BandedMatrix(p, (len(diags) - 1) // 2, diags))
-                except ValueError as exc:  # name the malformed lag
-                    raise ValueError(f"lag {ell}: {exc}") from None
+        elif version in (2, SCHEMA_VERSION):
+            coeffs = [_band_from_document(p, lag, f"lag {ell}") for ell, lag in enumerate(lags, 1)]
         else:
             raise BandedVarError(f"unsupported model document schema_version {version!r}")
         sigma = data.get("sigma_eps")
-        return cls(p, d, k0, coeffs, None if sigma is None else np.asarray(sigma, dtype=float))
+        if isinstance(sigma, dict) != (version == SCHEMA_VERSION):
+            need = "needs" if version == SCHEMA_VERSION else "cannot hold"
+            raise BandedVarError(f"a schema_version {version!r} document {need} a banded sigma_eps")
+        if version == SCHEMA_VERSION:
+            sigma = _band_from_document(p, sigma.get("diagonals"), "sigma_eps")
+        elif sigma is not None:
+            sigma = np.asarray(sigma, dtype=float)
+        return cls(p, d, k0, coeffs, sigma)
 
     def __repr__(self):
         return f"BandedVarModel(p={self.p}, d={self.d}, k0={self.k0})"
+
+
+def _band_from_document(p, diags, name) -> BandedMatrix:
+    """The band whose 2k + 1 diagonals a document lists, its failure named."""
+    try:
+        return BandedMatrix(p, (len(diags) - 1) // 2, diags)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def companion_matrix(model: BandedVarModel) -> np.ndarray:
@@ -255,8 +292,11 @@ def _var1_variance(model: BandedVarModel):
         )
     if not is_stationary(model):
         raise NonStationaryError("model is not stationary; the series diverges")
-    a = model.coeffs[0].to_dense()
-    sigma0 = np.eye(model.p) if model.sigma_eps is None else np.array(model.sigma_eps)
+    a, sigma = model.coeffs[0].to_dense(), model.sigma_eps
+    if sigma is None:
+        sigma0 = np.eye(model.p)
+    else:
+        sigma0 = sigma.to_dense() if isinstance(sigma, BandedMatrix) else np.array(sigma)
     apow = a
     while frobenius_norm(apow) ** 2 > np.finfo(float).eps:
         sigma0 += apow @ sigma0 @ apow.T

@@ -3,8 +3,12 @@
 Two coefficient generators mirror the benchmark designs, a dense uniform band
 and a sparse mixture with large band-edge entries; both rescale to a spectral
 norm drawn from U[0.3, 1.0) (or fixed), taken in band storage (no p x p array),
-which guarantees stationarity. A path runs the recursion forecasts share
-(``linalg._var_recursion``) on its draws.
+which guarantees stationarity. The structured innovation covariance B B^T is a
+symmetric band of half-width 2, built and kept in band storage. A path
+correlates its normal draws with the Cholesky factor of the innovation
+covariance (a band's factor from ``scipy.linalg.cholesky_banded``, applied in
+place in O(p (burn-in + n)) work) and runs the recursion forecasts share
+(``linalg._var_recursion``) on them.
 """
 
 from __future__ import annotations
@@ -12,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cholesky_banded
 
 from .errors import NonStationaryError
-from .linalg import BandedMatrix, _var_recursion, spectral_norm
+from .linalg import BandedMatrix, _var_recursion, band_product, spectral_norm
 from .model import BandedVarModel, TimeSeries, is_stationary
 from .rng import substream
 
@@ -29,6 +34,7 @@ __all__ = [
 ]
 
 DEFAULT_BURN_IN = 500
+_BLOCK = 1 << 14  # entries of the work array a banded factor is applied through
 
 
 @dataclass(frozen=True)
@@ -93,17 +99,59 @@ def gen_coeff_mixture(p: int, k0: int, rng, target_norm: float | None = None) ->
     return _rescaled(p, k0, diagonal, rng, target_norm)
 
 
-def gen_sigma_eps_structured(p: int) -> np.ndarray:
+def gen_sigma_eps_structured(p: int) -> BandedMatrix:
     """Innovation covariance B B^T with b_11 = 1 and, elsewhere, 0.6 on the
-    diagonal and 0.8 on the first off-diagonals. Banded with half-width 2."""
+    diagonal and 0.8 on the first off-diagonals, as a band of half-width
+    min(2, p - 1). B is symmetric, so B B^T = B B; each entry sums the same
+    products in the same order as its mirror, so the band is exactly symmetric."""
     if p < 2:
         raise ValueError("structured covariance needs p >= 2")
-    b = np.diag(np.full(p, 0.6))
-    idx = np.arange(p - 1)
-    b[idx, idx + 1] = 0.8
-    b[idx + 1, idx] = 0.8
-    b[0, 0] = 1.0
-    return b @ b.T
+    diag, off = np.full(p, 0.6), np.full(p - 1, 0.8)
+    diag[0] = 1.0
+    b = BandedMatrix(p, 1, [off, diag, off])
+    return band_product(b, b)
+
+
+def _correlate(sigma, z: np.ndarray) -> np.ndarray:
+    """Innovations L z with covariance ``sigma`` = L L^T from the p x T
+    standard normals ``z``.
+
+    A :class:`BandedMatrix` is factored as U^T U by ``cholesky_banded`` on its
+    upper band (rows 0..k of the packed array are LAPACK's upper form), and
+    row i of L = U^T takes U[i - o, i], o = 0..k, from column i of the packed
+    factor. Rows are rewritten in place in blocks from the bottom up, so each
+    block reads rows at or above it that still hold their normals: O(p k T)
+    work and no p x T temporary. A band whose factorisation fails (only
+    semi-definite) takes a square root from its dense spectrum; a dense
+    ``sigma`` takes its Cholesky factor, or that square root when it fails.
+    """
+    if isinstance(sigma, BandedMatrix):
+        k = sigma.k
+        try:
+            u = cholesky_banded(sigma._packed[: k + 1], check_finite=False)
+        except np.linalg.LinAlgError:
+            return _dense_root(sigma.to_dense()) @ z
+        p, steps = z.shape
+        rows = max(1, _BLOCK // steps)
+        for hi in range(p, 0, -rows):
+            lo = max(hi - rows, 0)
+            block = z[lo:hi] * u[k, lo:hi, None]
+            for o in range(1, min(k, hi - 1) + 1):
+                a = max(lo, o)  # rows before o have no term at o
+                block[a - lo :] += u[k - o, a:hi, None] * z[a - o : hi - o]
+            z[lo:hi] = block
+        return z
+    try:
+        factor = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        return _dense_root(sigma) @ z
+    return factor @ z
+
+
+def _dense_root(sigma: np.ndarray) -> np.ndarray:
+    """A square root V sqrt(max(w, 0)) of a semi-definite matrix from its spectrum."""
+    w, v = np.linalg.eigh(sigma)
+    return v * np.sqrt(np.clip(w, 0.0, None))
 
 
 def simulate_var(
@@ -114,7 +162,8 @@ def simulate_var(
     allow_explosive: bool = False,
 ) -> TimeSeries:
     """Simulate n observations with Gaussian innovations, after a burn-in from
-    a zero start. A missing ``sigma_eps`` means identity innovations."""
+    a zero start. A missing ``sigma_eps`` means identity innovations; a banded
+    one is applied in band storage (see :func:`_correlate`)."""
     if n < 1:
         raise ValueError("need at least one observation")
     if burn_in < 0:
@@ -127,12 +176,7 @@ def simulate_var(
         rng = substream(0, "innovations")
     out = rng.standard_normal((model.p, burn_in + n))  # innovations, updated in place
     if model.sigma_eps is not None:
-        try:
-            factor = np.linalg.cholesky(model.sigma_eps)
-        except np.linalg.LinAlgError:  # semi-definite: a square root from the spectrum
-            w, v = np.linalg.eigh(model.sigma_eps)
-            factor = v * np.sqrt(np.clip(w, 0.0, None))
-        out = factor @ out
+        out = _correlate(model.sigma_eps, out)
     _var_recursion(model.coeffs, out, 0)
     return TimeSeries(out[:, burn_in:])
 

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandedvar import DataFormatError, TimeSeries, cli, fit_banded_var, predict
+from bandedvar import (
+    DataFormatError,
+    TimeSeries,
+    cli,
+    fit_banded_var,
+    gen_sigma_eps_structured,
+    predict,
+)
 from bandedvar.cli import build_parser, main
 from bandedvar.io import (
     _read_timeseries_lines,
@@ -46,6 +53,19 @@ class TestSimulateCommand:
         assert (ts.p, ts.n) == (10, 40)
         model, _ = load_model_json(f"{out}.model.json")
         assert model.k0 == 2
+
+    def test_structured_truth_is_a_version_3_band(self, tmp_path):
+        out = simulate_panel(tmp_path, p=30, n=40, extra=("--sigma-eps", "structured"))
+        doc = json.loads(Path(f"{out}.model.json").read_text())
+        assert doc["schema_version"] == 3
+        assert [len(diag) for diag in doc["sigma_eps"]["diagonals"]] == [28, 29, 30, 29, 28]
+        model, _ = load_model_json(f"{out}.model.json")
+        assert model.sigma_eps._packed.tobytes() == gen_sigma_eps_structured(30)._packed.tobytes()
+        code = run(
+            "forecast", "--data", f"{out}.csv", "--model", f"{out}.model.json",
+            "--out", tmp_path / "pred",
+        )
+        assert code == 0
 
     def test_same_seed_identical_bytes(self, tmp_path):
         a = simulate_panel(tmp_path, "a", seed=9)
@@ -128,6 +148,10 @@ class TestFitAndForecast:
         "lag with 4 diagonals": (
             lambda doc: doc["coeffs"][0].append(doc["coeffs"][0][0]),
             "lag 1: expected 3 diagonals, got 4",
+        ),
+        "banded sigma_eps with 4 diagonals": (
+            lambda doc: doc.update(schema_version=3, sigma_eps={"diagonals": [[1.0] * 6] * 4}),
+            "sigma_eps: expected 3 diagonals, got 4",
         ),
     }
 

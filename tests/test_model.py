@@ -1,6 +1,7 @@
 """Model containers, companion form, stationarity, implied autocovariances."""
 
 import json
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -16,6 +17,7 @@ from bandedvar import (
     BandedMatrix,
     BandedVarModel,
     BandedVarError,
+    DataFormatError,
     FitSpec,
     NonStationaryError,
     TimeSeries,
@@ -103,8 +105,31 @@ class TestContainers:
         with pytest.raises(ValueError, match="eigenvalue"):
             BandedVarModel(2, 1, 0, a, np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_banded_sigma_validation(self):
+        a = [BandedMatrix.zeros(4, 0)]
+        off = np.full(3, 0.5)
+        BandedVarModel(4, 1, 0, a, BandedMatrix(4, 1, [off, np.ones(4), off]))
+        with pytest.raises(ValueError, match="asymmetry 1.000e-06 exceeds 1e-12"):
+            BandedVarModel(4, 1, 0, a, BandedMatrix(4, 1, [off, np.ones(4), off + 1e-6]))
+        with pytest.raises(ValueError, match="eigenvalue below -1e-10"):
+            # a positive diagonal, but eigenvalues 1 + 4 cos(i pi / 5) < 0 for i >= 3
+            BandedVarModel(4, 1, 0, a, BandedMatrix(4, 1, [4 * off, np.ones(4), 4 * off]))
+        with pytest.raises(ValueError, match="sigma_eps dimension 5 does not match p=4"):
+            BandedVarModel(4, 1, 0, a, gen_sigma_eps_structured(5))
+
+    @pytest.mark.parametrize("low, ok", [(-1e-9, False), (-1e-11, True), (0.0, True)])
+    def test_banded_sigma_threshold(self, low, ok):
+        a = [BandedMatrix.zeros(3, 0)]
+        sigma = BandedMatrix(3, 0, [[1.0, low, 2.0]])
+        if ok:
+            assert BandedVarModel(3, 1, 0, a, sigma).sigma_eps is sigma
+        else:
+            with pytest.raises(ValueError, match="eigenvalue below -1e-10"):
+                BandedVarModel(3, 1, 0, a, sigma)
+
     def test_json_round_trip(self):
-        model = banded_model(6, 2, substream(1, "coeffs"), sigma=gen_sigma_eps_structured(6))
+        sigma = gen_sigma_eps_structured(6).to_dense()
+        model = banded_model(6, 2, substream(1, "coeffs"), sigma=sigma)
         doc = model.to_dict(means=np.arange(6.0))
         assert doc["schema_version"] == 2
         assert doc["coeffs"] == [[diag.tolist() for diag in model.coeffs[0].diagonals]]
@@ -196,8 +221,49 @@ class TestModelDocument:
         for a, b in zip(v1.coeffs, v2.coeffs):
             assert a._packed.tobytes() == b._packed.tobytes()
         assert v1.sigma_eps.tobytes() == v2.sigma_eps.tobytes()
-        assert np.array_equal(v1.sigma_eps, gen_sigma_eps_structured(6))
+        assert np.array_equal(v1.sigma_eps, gen_sigma_eps_structured(6).to_dense())
         assert means.tobytes() == np.asarray(doc["means"]).tobytes()
+
+    def test_version_3_round_trip_keeps_the_band(self, tmp_path):
+        model = make_model(SimConfig(p=7, n=10, k0=2, seed=3, sigma_eps_kind="structured_bbt"))
+        doc = json.loads(json.dumps(model.to_dict()))
+        assert doc["schema_version"] == 3
+        assert doc["sigma_eps"] == {"diagonals": [d.tolist() for d in model.sigma_eps.diagonals]}
+        with (
+            mock.patch.object(BandedMatrix, "from_dense", side_effect=AssertionError),
+            mock.patch.object(BandedMatrix, "to_dense", side_effect=AssertionError),
+        ):
+            save_model_json(tmp_path / "m.json", model)
+            back, _ = load_model_json(tmp_path / "m.json")
+        assert isinstance(back.sigma_eps, BandedMatrix)
+        assert back.sigma_eps._packed.tobytes() == model.sigma_eps._packed.tobytes()
+        assert back.coeffs[0]._packed.tobytes() == model.coeffs[0]._packed.tobytes()
+
+    def test_version_2_dense_sigma_still_loads(self):
+        sigma = gen_sigma_eps_structured(4).to_dense()
+        model = BandedVarModel.from_dict(v2_document(sigma_eps=sigma.tolist()))
+        assert model.sigma_eps.tobytes() == sigma.tobytes()
+        assert model.to_dict()["schema_version"] == 2
+
+    @pytest.mark.parametrize(
+        "version, sigma, match",
+        [
+            (3, {"diagonals": [[0.1] * 3] * 4}, "sigma_eps: expected 3 diagonals, got 4"),
+            (3, {"diagonals": [[0.1] * 3, [1.0] * 5, [0.1] * 3]}, "sigma_eps: diagonal at offset"),
+            (3, {"diagonals": [[1.0, None, 1.0, 1.0]]}, "sigma_eps: banded matrix entries"),
+            (3, {}, "sigma_eps: "),
+            (3, {"diagonals": [[0.1] * 3, [1.0] * 4, [0.2] * 3]}, "sigma_eps asymmetry"),
+            (3, {"diagonals": [[2.0] * 3, [1.0] * 4, [2.0] * 3]}, "eigenvalue below -1e-10"),
+            (3, np.eye(4).tolist(), "schema_version 3 document needs a banded sigma_eps"),
+            (2, {"diagonals": [[1.0] * 4]}, "schema_version 2 document cannot hold"),
+        ],
+    )
+    def test_malformed_sigma_names_the_file(self, tmp_path, version, sigma, match):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(v2_document(schema_version=version, sigma_eps=sigma)))
+        with pytest.raises(DataFormatError, match=re.escape(match)) as err:
+            load_model_json(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_version_2_keeps_a_narrower_stored_band(self):
         a = BandedMatrix(5, 1, [np.full(4, -0.1), np.full(5, 0.3), np.full(4, 0.2)])
@@ -358,6 +424,15 @@ class TestTheoreticalAutocov:
         assert np.abs(sigma0 - sigma0.T).max() < 1e-10
         assert np.linalg.eigvalsh(sigma0).min() >= -1e-8
 
+    def test_banded_sigma_gives_the_bits_of_its_dense_form(self):
+        a = gen_coeff_uniform(12, 2, substream(25, "coeffs"), target_norm=0.8)
+        sigma = gen_sigma_eps_structured(12)
+        band = BandedVarModel(12, 1, 2, [a], sigma)
+        dense = BandedVarModel(12, 1, 2, [a], sigma.to_dense())
+        for j in (0, 1):
+            want = theoretical_autocov_var1(dense, j)
+            assert theoretical_autocov_var1(band, j).tobytes() == want.tobytes()
+
     def test_near_unit_root_is_exact(self):
         # a term-count cap on the series would stop far short here
         model = scaled_identity_model(2, 0.9999)
@@ -376,10 +451,10 @@ class TestTheoreticalAutocov:
         )
         a = model.coeffs[0].to_dense()
         sigma0 = theoretical_autocov_var1(model, 0)
-        reference = solve_discrete_lyapunov(a, model.sigma_eps)
+        reference = solve_discrete_lyapunov(a, model.sigma_eps.to_dense())
         scale = np.abs(reference).max()
         assert np.abs(sigma0 - reference).max() <= 1e-12 * scale
-        resid = sigma0 - a @ sigma0 @ a.T - model.sigma_eps
+        resid = sigma0 - a @ sigma0 @ a.T - model.sigma_eps.to_dense()
         assert np.abs(resid).max() <= 1e-14 * scale
 
     def test_higher_lag_orientation(self):

@@ -1,6 +1,7 @@
 """Coefficient generators, structured innovation covariance, path simulation."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from bandedvar import (
     BandedMatrix,
     NonStationaryError,
     SimConfig,
+    band_product,
+    fit_banded_var,
     frobenius_norm,
     gen_coeff_mixture,
     gen_coeff_uniform,
@@ -23,7 +26,7 @@ from bandedvar import (
     theoretical_autocov_var1,
 )
 from bandedvar.rng import substream
-from bandedvar.simulate import make_model, run_simulation
+from bandedvar.simulate import _correlate, make_model, run_simulation
 
 
 def out_of_band_mask(p, k):
@@ -117,16 +120,59 @@ class TestMixtureGenerator:
 
 class TestStructuredSigma:
     def test_small_case_by_hand(self):
-        s = gen_sigma_eps_structured(2)
+        s = gen_sigma_eps_structured(2).to_dense()
         assert np.allclose(s, [[1.64, 1.28], [1.28, 1.0]], atol=1e-12)
 
     def test_psd(self):
-        s = gen_sigma_eps_structured(30)
+        s = gen_sigma_eps_structured(30).to_dense()
         assert np.linalg.eigvalsh(s).min() >= -1e-10
 
     def test_band_half_width_two(self):
-        s = gen_sigma_eps_structured(10)
+        s = gen_sigma_eps_structured(10).to_dense()
         assert np.all(s[out_of_band_mask(10, 2)] == 0.0)
+
+
+class TestBandedInnovations:
+    """A banded sigma_eps is factored and applied in band storage."""
+
+    def test_structured_draw_holds_no_dense_array(self):
+        def peak(kind):
+            tracemalloc.start()
+            try:
+                _, ts = run_simulation(SimConfig(p=2000, n=100, k0=2, seed=5, sigma_eps_kind=kind))
+                fit_banded_var(ts, 2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the normals alone are 2000 x 600 (9.2 MiB); one dense 2000 x 2000
+        # array is 30.5 MiB
+        assert peak("structured_bbt") <= 1.5 * peak("identity")
+
+    # 40 000 steps leave one row per block of the in-place product
+    @pytest.mark.parametrize("p, steps", [(2, 700), (3, 700), (12, 700), (300, 700),
+                                          (12, 1), (9, 40_000)])
+    def test_matches_dense_cholesky_product(self, p, steps):
+        sigma = gen_sigma_eps_structured(p)
+        z = substream(22, "innovations", p, steps).standard_normal((p, steps))
+        want = np.linalg.cholesky(sigma.to_dense()) @ z
+        assert np.abs(_correlate(sigma, z) - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_semidefinite_band_takes_the_spectral_root(self):
+        # B with a zero first row: B B^T is singular, so the banded Cholesky
+        # factorisation fails and the square root comes from the spectrum
+        p, n = 6, 4000
+        diag, off = np.full(p, 0.6), np.full(p - 1, 0.8)
+        diag[0] = off[0] = 0.0
+        b = BandedMatrix(p, 1, [off, diag, off])
+        sigma = band_product(b, b)
+        model = BandedVarModel(p, 1, 0, [BandedMatrix.zeros(p, 0)], sigma)
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            ts = simulate_var(model, n, burn_in=0, rng=substream(24, "innovations"))
+        assert eigh.call_count == 1
+        assert np.abs(ts.values[0]).max() <= 1e-12
+        empirical = ts.values @ ts.values.T / n
+        assert np.abs(empirical - sigma.to_dense()).max() <= 0.15
 
 
 class TestSimulateVar:
@@ -197,7 +243,7 @@ class TestSimulateVar:
         ts = simulate_var(model, n, burn_in=burn_in, rng=substream(16, "innovations"))
 
         total = burn_in + n
-        eps = np.linalg.cholesky(sigma) @ substream(16, "innovations").standard_normal((p, total))
+        eps = _correlate(sigma, substream(16, "innovations").standard_normal((p, total)))
         dense = [a.to_dense() for a in coeffs]
         ref = np.zeros((p, total))
         for t in range(total):
@@ -254,7 +300,9 @@ class TestSimulateVar:
         )
 
         ref = substream(seed, "innovations").standard_normal((p, burn_in + n))
-        if sigma is not None:
+        if isinstance(sigma, BandedMatrix):
+            ref = _correlate(sigma, ref)
+        elif sigma is not None:
             ref = np.linalg.cholesky(sigma) @ ref
         for t in range(burn_in + n):
             for ell, a in enumerate(coeffs[:t], start=1):
